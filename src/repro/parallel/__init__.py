@@ -1,16 +1,16 @@
 """Multi-process experiment engine.
 
-Three pieces, designed to compose with :mod:`repro.robustness` rather
+Four pieces, designed to compose with :mod:`repro.robustness` rather
 than replace it:
 
 * :mod:`repro.parallel.pool` — a fork-based worker pool with an explicit
   message protocol (start/done/error/event/crash), batched dispatch with
   per-unit reporting so a dying worker loses exactly the unit it was
-  running, and a process-wide persistent pool (:func:`shared_task_pool`
-  / :func:`lease_task_pool`) so fork cost is paid once per process.
-* :mod:`repro.parallel.scheduler` — dependency validation, stable
-  topological ordering and affinity routing, so units that share a stack
-  pass land in the same worker.
+  running.  Workers inherit the units by fork; results return as plain
+  pickles.
+* :mod:`repro.parallel.scheduler` — unit-name validation, batch sizing
+  and affinity routing, so units that share a stack pass land in the
+  same worker.
 * :mod:`repro.parallel.cache` — a content-addressed on-disk result cache
   keyed by SHA-256 of (trace fingerprint, config, kernel, penalty
   model), consulted before any simulation.
@@ -20,19 +20,17 @@ than replace it:
   control, and degraded-serial fallback.
 
 The engine (:mod:`repro.parallel.engine`) ties them together behind
-``run_units(..., jobs=N)``; the parent process keeps sole ownership of
-the journal and of every publish callback, so checkpoint/resume and
-failure isolation behave exactly as in the serial path.
+``run_units(..., jobs=N)``, the one way work leaves the parent process:
+each call forks one pool for its own units.  The parent keeps sole
+ownership of the journal and of every publish callback, so
+checkpoint/resume and failure isolation behave exactly as in the serial
+path.
 """
 
 from repro.parallel.cache import SimulationCache, canonical_key
 from repro.parallel.pool import (
-    PoolLease,
     in_worker,
-    lease_task_pool,
-    parallel_map,
     resolve_jobs,
-    shared_task_pool,
     shutdown_shared_pool,
 )
 from repro.parallel.supervisor import (
@@ -42,14 +40,10 @@ from repro.parallel.supervisor import (
 
 __all__ = [
     "AIMDController",
-    "PoolLease",
     "SimulationCache",
     "SupervisorConfig",
     "canonical_key",
     "in_worker",
-    "lease_task_pool",
-    "parallel_map",
     "resolve_jobs",
-    "shared_task_pool",
     "shutdown_shared_pool",
 ]

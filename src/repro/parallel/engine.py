@@ -16,31 +16,18 @@ prefix of the original spec order, so:
 Failure isolation also carries over: a unit that exhausts its retries —
 or whose *worker dies outright* (segfault, ``os._exit``, OOM kill) — is
 recorded FAILED while the rest of the suite keeps running on the
-surviving (or respawned) workers.  Units whose declared dependencies
-failed are failed without running.
+surviving (or respawned) workers.
 
-Three throughput decisions (the difference between a correctness demo
-and an engine that beats serial):
-
-* **Pool reuse.**  When every unit is picklable and the retry plumbing
-  uses the real clock, units ship to the persistent
-  :func:`~repro.parallel.pool.shared_task_pool` under a
-  :class:`~repro.parallel.pool.PoolLease` — fork cost is paid once per
-  process, and the supervisor operates on a pool it does not own
-  (kills and respawns against shared members; the lease restores the
-  pool's knobs and quiesces leftovers on release).  Unpicklable units
-  (closures over traces) fall back to a private fork-inherited
-  registry pool exactly as before.
-* **Batched dispatch.**  Independent units are packed into batches
-  (one queue round-trip each, sized by
-  :func:`~repro.parallel.scheduler.plan_batch_size` and the
-  per-unit cost model) while the worker still reports
-  start/done/error *per unit* — so journal records, cache entries and
-  supervision are per-unit, and a poisoned unit quarantines alone
-  while its batch siblings come back as ``"requeue"`` messages.
-* **Zero-copy results.**  Large numpy payloads return through
-  shared-memory segments (:mod:`repro.parallel.shm_results`); the
-  pipe carries a descriptor, the parent does one memcpy per array.
+Dispatch has one path.  Each call forks one private
+:class:`~repro.parallel.pool.WorkerPool` whose workers inherit the unit
+closures, so nothing but task ids is pickled on the way out and results
+come back as plain pickles.  Independent units are packed into batches
+(one queue round-trip each, sized by
+:func:`~repro.parallel.scheduler.plan_batch_size` and the per-unit cost
+model) while the worker still reports start/done/error *per unit* — so
+journal records, cache entries and supervision are per-unit, and a
+poisoned unit quarantines alone while its batch siblings come back as
+``"requeue"`` messages.
 
 Supervision (on by default, see
 :class:`~repro.parallel.supervisor.SupervisorConfig`) layers four
@@ -68,7 +55,7 @@ from __future__ import annotations
 import pickle
 import time as time_module
 import traceback as traceback_module
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple, Type
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Type
 
 from repro.errors import (
     DeadlineExceededError,
@@ -76,8 +63,7 @@ from repro.errors import (
     PoisonUnitError,
     WorkerCrashError,
 )
-from repro.parallel import scheduler, shm_results
-from repro.parallel import pool as pool_module
+from repro.parallel import scheduler
 from repro.parallel.cache import corrupt_discarded_total
 from repro.parallel.pool import (
     WorkerPool,
@@ -91,11 +77,6 @@ from repro.robustness.retry import Deadline, RetryPolicy, call_with_retry
 #: How long one poll waits for worker messages before rechecking state.
 _POLL_SECONDS = 0.05
 
-#: A unit whose pickled task exceeds this rides the private registry
-#: pool instead — shipping megabytes per dispatch would hand back the
-#: round-trip savings the shared pool exists to capture.
-_MAX_SHARED_TASK_BYTES = 512 * 1024
-
 #: The five per-unit timing phases surfaced in ``report.timing``.
 _TIMING_KEYS = (
     "dispatch_s",
@@ -104,76 +85,6 @@ _TIMING_KEYS = (
     "result_transfer_s",
     "flush_s",
 )
-
-
-def _run_unit_remote(run, policy, deadline_seconds, retriable, label):
-    """Worker-side body of one unit shipped to the shared pool.
-
-    The shared pool's workers were forked before this suite existed, so
-    everything arrives pickled: the unit callable, the retry policy,
-    the deadline budget.  Retry notices travel back as events exactly
-    like the registry-task path.  Only used when the engine verified
-    the caller's clock/sleep are the real ones — the rebuilt
-    :class:`Deadline` here uses the defaults.
-    """
-    deadline = Deadline(deadline_seconds)
-
-    def notify(attempt, error, delay):
-        emit_event(("retry", attempt, type(error).__name__, str(error), delay))
-
-    return call_with_retry(
-        run,
-        policy=policy,
-        deadline=deadline,
-        retriable=retriable,
-        on_retry=notify,
-        label=label,
-    )
-
-
-def _shared_task_blobs(
-    units: Sequence,
-    staged: Sequence,
-    retry_policy: RetryPolicy,
-    deadline_seconds: Optional[float],
-    retriable: Tuple[Type[BaseException], ...],
-    clock: Callable[[], float],
-    sleep: Callable[[float], None],
-) -> Optional[List[Optional[bytes]]]:
-    """Pre-pickle every runnable unit for the shared pool, or None.
-
-    Returns None — meaning "use a private registry pool" — when any
-    unit refuses to pickle (closures over traces/configs), when a blob
-    is unreasonably large, or when the caller injected a fake clock or
-    sleep (the shared path rebuilds deadlines worker-side with the real
-    clock, which would break virtual-time tests).
-    """
-    if clock is not time_module.monotonic or sleep is not time_module.sleep:
-        return None
-    blobs: List[Optional[bytes]] = [None] * len(units)
-    for index, spec in enumerate(units):
-        if staged[index] is not None:
-            continue
-        try:
-            blob = pickle.dumps(
-                (
-                    _run_unit_remote,
-                    (
-                        spec.run,
-                        retry_policy,
-                        deadline_seconds,
-                        retriable,
-                        spec.name,
-                    ),
-                ),
-                protocol=pickle.HIGHEST_PROTOCOL,
-            )
-        except Exception:  # noqa: BLE001 - any pickling failure → private pool
-            return None
-        if len(blob) > _MAX_SHARED_TASK_BYTES:
-            return None
-        blobs[index] = blob
-    return blobs
 
 
 def run_units_parallel(
@@ -215,28 +126,19 @@ def run_units_parallel(
     )
 
     scheduler.validate_units(units)
-    topo = scheduler.topological_order(units)
-    #: Dispatch preference order.  Starts as the topological order; a
-    #: unit whose worker was killed is *demoted* to the back on requeue,
-    #: so a suspected-poison unit cannot hog every kill opportunity
-    #: (burning the whole respawn budget, and its own quarantine
-    #: allowance, while innocent units starve behind it).  Demotion
-    #: never violates dependencies: needs always sit earlier than the
-    #: unit did, so moving it later keeps them satisfied.
-    dispatch_order = list(topo)
     count = len(units)
+    #: Dispatch preference order.  Starts as spec order; a unit whose
+    #: worker was killed is *demoted* to the back on requeue, so a
+    #: suspected-poison unit cannot hog every kill opportunity (burning
+    #: the whole respawn budget, and its own quarantine allowance,
+    #: while innocent units starve behind it).
+    dispatch_order = list(range(count))
 
     #: Per-unit staged outcome, filled as units finish, flushed in
     #: spec order.  Kinds: "skip" | "ok" | "fail".
     staged: List[Optional[Dict[str, Any]]] = [None] * count
     dispatched = [False] * count
     events: List[List[Tuple]] = [[] for _ in range(count)]
-    #: Dependencies are satisfied only once the dependency has *flushed*
-    #: successfully (outputs published, journal written) — a staged-but-
-    #: unflushed success could still fail in its publish step, and a
-    #: dependent must not have started by then.
-    flushed_ok: Set[str] = set()
-    finished_fail: Set[str] = set()
 
     for index, spec in enumerate(units):
         if resume and journal is not None and journal.completed(spec.name):
@@ -272,51 +174,19 @@ def run_units_parallel(
         else None
     )
     pool: Optional[WorkerPool] = None
-    lease: Optional[pool_module.PoolLease] = None
-    blobs: Optional[List[Optional[bytes]]] = None
     if runnable:
-        blobs = _shared_task_blobs(
-            units, staged, retry_policy, deadline_seconds, retriable, clock, sleep
-        )
-        if blobs is not None:
-            lease = pool_module.try_lease_shared_pool(worker_count)
-            if lease is None:
-                blobs = None
-        if lease is not None:
-            pool = lease.pool
-            if supervisor is not None:
-                heartbeat_timeout = None
-                if config.heartbeat_interval is not None:
-                    heartbeat_timeout = config.heartbeat_timeout
-                    if (
-                        heartbeat_timeout is None
-                        and pool.heartbeat_interval is not None
-                    ):
-                        # Default 6x, against the *pool's* baked-in
-                        # interval — the config's interval cannot be
-                        # re-forked into shared workers.
-                        heartbeat_timeout = 6.0 * pool.heartbeat_interval
-                pool.configure_supervision(
-                    heartbeat_timeout=heartbeat_timeout,
-                    unit_deadline=config.unit_deadline,
-                    rss_limit_kb=config.rss_limit_kb,
-                    kill_grace=config.kill_grace,
-                )
-        else:
-            pool_options: Dict[str, Any] = {}
-            if supervisor is not None:
-                pool_options = dict(
-                    heartbeat_interval=config.heartbeat_interval,
-                    heartbeat_timeout=config.heartbeat_timeout,
-                    unit_deadline=config.unit_deadline,
-                    rss_limit_kb=config.rss_limit_kb,
-                    kill_grace=config.kill_grace,
-                )
-            pool = WorkerPool(
-                [make_task(spec) for spec in units],
-                worker_count,
-                **pool_options,
+        pool_options: Dict[str, Any] = {}
+        if supervisor is not None:
+            pool_options = dict(
+                heartbeat_interval=config.heartbeat_interval,
+                heartbeat_timeout=config.heartbeat_timeout,
+                unit_deadline=config.unit_deadline,
+                rss_limit_kb=config.rss_limit_kb,
+                kill_grace=config.kill_grace,
             )
+        pool = WorkerPool(
+            [make_task(spec) for spec in units], worker_count, **pool_options
+        )
     if batch_size is not None:
         batch_cap = max(1, int(batch_size))
         cost_budget: Optional[float] = None
@@ -379,7 +249,6 @@ def run_units_parallel(
             "exception": exception,
             "detail": detail,
         }
-        finished_fail.add(units[index].name)
 
     def flush(index: int) -> bool:
         """Publish/journal/report one unit; True if it ended FAILED."""
@@ -396,7 +265,6 @@ def run_units_parallel(
             )
             if on_skip is not None:
                 on_skip(spec)
-            flushed_ok.add(spec.name)
             return False
         # Replay the worker's retry notices now, so announcements land
         # in spec order exactly as a serial run would print them.
@@ -432,7 +300,6 @@ def run_units_parallel(
                     )
                 )
                 error_text = f"{type(error).__name__}: {error}"
-                finished_fail.add(spec.name)
                 if journal is not None:
                     journal.record_failure(
                         spec.name,
@@ -470,7 +337,6 @@ def run_units_parallel(
                     attempts=attempts,
                 )
             )
-            flushed_ok.add(spec.name)
             return False
         # stage["kind"] == "fail"
         if journal is not None:
@@ -602,61 +468,21 @@ def run_units_parallel(
     def run_degraded_serial() -> None:
         """The pool is gone: finish the suite serially in the parent.
 
-        Spec order is validated dependency-consistent and flush is a
-        contiguous prefix, so running and flushing unit ``flushed`` in
-        lockstep preserves every ordering contract.
+        Flush is a contiguous prefix of spec order, so running and
+        flushing unit ``flushed`` in lockstep preserves every ordering
+        contract.
         """
         nonlocal flushed, stop
         supervisor.degraded = True
         while flushed < count and not stop:
             if staged[flushed] is None:
-                failed_needs = [
-                    need
-                    for need in scheduler.unit_needs(units[flushed])
-                    if need in finished_fail
-                ]
-                if failed_needs:
-                    error = ParallelError(
-                        f"dependency {failed_needs[0]!r} failed"
-                    )
-                    stage_failure(
-                        flushed,
-                        error_text=f"{type(error).__name__}: {error}",
-                        traceback_text=None,
-                        elapsed=0.0,
-                        attempts=0,
-                        exception=error,
-                    )
-                else:
-                    run_inline(flushed)
+                run_inline(flushed)
             failed = flush_timed(flushed)
             flushed += 1
             if failed and fail_fast:
                 stop = True
     try:
         while flushed < count:
-            # Fail units whose dependencies failed (topo order, so one
-            # pass cascades the whole chain).
-            for index in topo:
-                if staged[index] is not None or dispatched[index]:
-                    continue
-                failed_needs = [
-                    need
-                    for need in scheduler.unit_needs(units[index])
-                    if need in finished_fail
-                ]
-                if failed_needs:
-                    error = ParallelError(
-                        f"dependency {failed_needs[0]!r} failed"
-                    )
-                    stage_failure(
-                        index,
-                        error_text=f"{type(error).__name__}: {error}",
-                        traceback_text=None,
-                        elapsed=0.0,
-                        attempts=0,
-                        exception=error,
-                    )
             while flushed < count and staged[flushed] is not None:
                 failed = flush_timed(flushed)
                 flushed += 1
@@ -691,11 +517,6 @@ def run_units_parallel(
                     if staged[index] is not None or dispatched[index]:
                         continue
                     spec = units[index]
-                    if any(
-                        need not in flushed_ok
-                        for need in scheduler.unit_needs(spec)
-                    ):
-                        continue
                     if router.pick_worker(spec, (worker_id,)) != worker_id:
                         continue
                     batch.append(index)
@@ -706,13 +527,7 @@ def run_units_parallel(
                 now = time_module.monotonic()
                 for index in batch:
                     submitted_at[index] = now
-                pool.submit_batch(
-                    worker_id,
-                    [
-                        (index, None if blobs is None else blobs[index])
-                        for index in batch
-                    ],
-                )
+                pool.submit_batch(worker_id, batch)
                 busy += 1
             for message in pool.poll(_POLL_SECONDS):
                 index = message.task_id
@@ -734,10 +549,8 @@ def run_units_parallel(
                     blob, elapsed, meta = message.payload
                     received = time_module.monotonic()
                     try:
-                        result, attempts = shm_results.decode_result(
-                            blob, meta.get("shm")
-                        )
-                    except ParallelError as error:
+                        result, attempts = pickle.loads(blob)
+                    except Exception as error:  # noqa: BLE001 - contained
                         stage_failure(
                             index,
                             error_text=f"{type(error).__name__}: {error}",
@@ -882,19 +695,11 @@ def run_units_parallel(
                         "remaining units not run "
                         "(degraded_ok would fall back to serial)"
                     )
-                if lease is None:
-                    pool.terminate()
-                else:
-                    # A borrowed pool is not ours to tear down; the
-                    # lease quiesces and revives it on release.
-                    lease.dirty = True
+                pool.terminate()
                 run_degraded_serial()
         clean = True
     finally:
-        if lease is not None:
-            lease.dirty = lease.dirty or not clean or stop
-            lease.release()
-        elif pool is not None:
+        if pool is not None:
             if clean and not stop:
                 pool.close()
             else:

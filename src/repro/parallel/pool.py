@@ -3,20 +3,20 @@
 The pool exists to run *experiment units* — closures over traces,
 configs and policies that are expensive or impossible to pickle — so it
 forks workers **after** the task registry is built and ships only small
-integers (task ids) to workers.  Dynamic tasks (a module-level function
-plus picklable arguments, e.g. a shared-memory trace handle) can also be
-submitted after the fork, which is what the sweep family pool uses.
+integers (task ids) to workers.  This is the only way work leaves the
+parent process: each ``run_units(..., jobs=N)`` call builds one pool
+over its own units and closes it when the call ends.
 
 Design decisions, each load-bearing:
 
 * **Batched dispatch, per-unit accounting.**  The parent ships a *batch*
-  (a list of tasks) in one queue round-trip, but the worker reports
+  (a list of task ids) in one queue round-trip, but the worker reports
   ``start``/``done``/``error`` per task, so journal records, cache
   entries and supervision stay per-unit.  A worker that dies mid-batch
   takes down exactly the task it was running — the untouched siblings
   come back as ``"requeue"`` messages, not failures.  Scheduling
-  (readiness, affinity, batch packing) lives in the parent, which is
-  what makes deterministic journal ordering possible.
+  (affinity, batch packing) lives in the parent, which is what makes
+  deterministic journal ordering possible.
 * **One result pipe per worker, written synchronously.**  A pool-wide
   ``multiprocessing.Queue`` shares one feeder lock and one byte stream
   between every worker, so a worker SIGKILLed mid-write can wedge the
@@ -30,9 +30,7 @@ Design decisions, each load-bearing:
 * **Results are pickled inside the worker's try block.**  An
   unpicklable result would otherwise blow up the transport send after
   the reporting path; encoding eagerly turns it into an ordinary
-  reported error.  Large numpy payloads are diverted into a
-  shared-memory segment by :mod:`repro.parallel.shm_results`, so the
-  pipe carries only a small descriptor.
+  reported error.  The pipe carries the plain pickle blob.
 * **Crashes are messages, not exceptions.**  ``poll`` watches worker
   liveness and synthesizes a ``"crash"`` message for the running task
   of a dead worker (plus ``"requeue"`` for its pending batch siblings),
@@ -46,18 +44,11 @@ Design decisions, each load-bearing:
   blows its per-unit deadline, stops heartbeating (a GIL-holding C
   hang, a SIGSTOP, a wedged transport), or trips the optional RSS
   watchdog.  Workers only beat while running a task, so an idle
-  persistent pool costs nothing and fills no queues.
-* **The pool outlives its callers.**  ``shared_task_pool`` keeps one
-  process-wide pool alive so fork cost is paid once per process;
-  :func:`lease_task_pool` hands it out under a lease that restores the
-  supervision knobs and quiesces in-flight state on release, so an
-  engine can supervise — kill, respawn, degrade — a pool it does not
-  own without wrecking it for the next caller.
+  worker fills no pipe.
 """
 
 from __future__ import annotations
 
-import atexit
 import multiprocessing
 import os
 import pickle
@@ -69,16 +60,11 @@ from multiprocessing import connection as connection_module
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ParallelError, WorkerCrashError
-from repro.parallel import shm_results
 
 #: Worker-side globals, set once per forked process.
 _CURRENT_WORKER: Optional[int] = None
 _CURRENT_TASK: Optional[int] = None
 _RESULT_QUEUE: Any = None
-
-#: Sentinel distinguishing "not passed" from an explicit None in
-#: :meth:`WorkerPool.configure_supervision`.
-_UNSET: Any = object()
 
 
 class RemoteTaskError(RuntimeError):
@@ -146,11 +132,11 @@ def resolve_jobs(jobs: Optional[int]) -> int:
 #: "bye" | "crash" | "hang" | "requeue".  ``payload`` is kind-specific
 #: (see ``_worker_main``; for "hang" it is a dict with ``reason`` —
 #: ``"deadline"``/``"heartbeat"``/``"rss"`` — and ``elapsed`` seconds;
-#: for "done" it is ``(blob, elapsed, meta)`` where ``meta`` carries
-#: worker-side timestamps and the optional shared-memory result
-#: descriptor).  A "requeue" message names a task that was pending in a
-#: dead/killed worker's batch and was never started — the caller should
-#: simply dispatch it again.  "heartbeat" messages exist on the wire
+#: for "done" it is ``(blob, elapsed, meta)`` where ``blob`` is the
+#: pickled result and ``meta`` carries worker-side timestamps).  A
+#: "requeue" message names a task that was pending in a dead/killed
+#: worker's batch and was never started — the caller should simply
+#: dispatch it again.  "heartbeat" messages exist on the wire
 #: but are consumed inside ``poll`` and never returned to callers.
 @dataclass(frozen=True)
 class Message:
@@ -188,8 +174,8 @@ def _heartbeat_loop(worker_id, result_queue, interval) -> None:
     stopped process, a wedged pipe — which is exactly what the
     parent's hang detector should treat as dead.  Beats are only sent
     while a task is running: the parent's detector only judges busy
-    workers, and an idle persistent pool must not fill the result pipe
-    while nobody is polling it.
+    workers, and an idle worker must not fill the result pipe while
+    nobody is polling it.
     """
     while True:
         time.sleep(interval)
@@ -212,12 +198,11 @@ def _worker_main(
     progress_started=None,
     progress_done=None,
 ) -> None:
-    """Worker loop: take a batch of (task_id, spec) off the queue.
+    """Worker loop: take a batch of task ids off the queue.
 
-    ``spec`` is either an int (index into the fork-inherited ``tasks``
-    registry) or pickled ``(function, args)`` bytes for dynamic tasks.
-    Each task in the batch is reported individually; the batch is only
-    a transport envelope.  Reports travel over this worker's private
+    Each id indexes the fork-inherited ``tasks`` registry.  Each task in
+    the batch is reported individually; the batch is only a transport
+    envelope.  Reports travel over this worker's private
     ``result_connection`` (see the module docstring for why it is not
     a shared queue).
 
@@ -244,21 +229,17 @@ def _worker_main(
         if batch is None:
             result_queue.put(("bye", worker_id, None, None))
             return
-        for task_id, spec in batch:
+        for task_id in batch:
             _CURRENT_TASK = task_id
             if progress_started is not None:
                 progress_started.value = task_id
             started = time.monotonic()
             result_queue.put(("start", worker_id, task_id, started))
             try:
-                if isinstance(spec, bytes):
-                    function, arguments = pickle.loads(spec)
-                    result = function(*arguments)
-                else:
-                    result = tasks[spec]()
+                result = tasks[task_id]()
                 run_seconds = time.monotonic() - started
                 encode_started = time.monotonic()
-                blob, descriptor = shm_results.encode_result(result)
+                blob = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
                 encode_seconds = time.monotonic() - encode_started
             except BaseException as error:  # noqa: BLE001 - reported
                 detail = (
@@ -283,7 +264,6 @@ def _worker_main(
                     "sent_at": time.monotonic(),
                     "run_s": run_seconds,
                     "encode_s": encode_seconds,
-                    "shm": descriptor,
                 }
                 result_queue.put(
                     ("done", worker_id, task_id, (blob, run_seconds, meta))
@@ -375,22 +355,6 @@ class _WorkerHandle:
         return self.pending[0] if self.pending else None
 
 
-def _discard_stale_item(item: Any) -> None:
-    """Release resources riding on a drained-but-unconsumed report.
-
-    Only ``"done"`` payloads carry anything owned outside the pickle: a
-    shared-memory result segment that nobody will decode must be
-    unlinked here or it outlives the run.
-    """
-    if item[0] != "done":
-        return
-    payload = item[3]
-    if isinstance(payload, tuple) and len(payload) >= 3:
-        meta = payload[2]
-        if isinstance(meta, dict):
-            shm_results.discard_result(meta.get("shm"))
-
-
 def _process_rss_kb(pid: int) -> Optional[int]:
     """Resident set size of ``pid`` in KB via /proc, or None off-Linux."""
     try:
@@ -418,16 +382,11 @@ class WorkerPool:
       exceeds this while running a task is killed the same way.
     * ``kill_grace`` — seconds between SIGTERM and SIGKILL in
       :meth:`kill`.
-
-    The detection knobs (everything except ``heartbeat_interval``,
-    which is baked into the forked workers) can be changed later with
-    :meth:`configure_supervision` — that is how a lease supervises the
-    shared pool for one engine run and hands it back unsupervised.
     """
 
     def __init__(
         self,
-        tasks: Optional[Sequence[Callable[[], Any]]] = None,
+        tasks: Sequence[Callable[[], Any]],
         jobs: int = 1,
         *,
         heartbeat_interval: Optional[float] = None,
@@ -451,7 +410,7 @@ class WorkerPool:
             if value is not None and value <= 0:
                 raise ParallelError(f"{name} must be positive, got {value}")
         self.jobs = jobs
-        self._tasks = list(tasks) if tasks is not None else []
+        self._tasks = list(tasks)
         self._heartbeat_interval = heartbeat_interval
         if heartbeat_timeout is None and heartbeat_interval is not None:
             heartbeat_timeout = 6.0 * heartbeat_interval
@@ -464,65 +423,14 @@ class WorkerPool:
         self._workers: Dict[int, _WorkerHandle] = {}
         self._deferred: List[Message] = []
         self._closed = False
-        #: Aggregate transport stats of the most recent ``run_calls``
-        #: (batches, tasks, queue_wait_s, run_s, encode_s, transfer_s,
-        #: decode_s) — diagnostic only, surfaced by ``repro-bench
-        #: --profile``.
-        self.last_run_stats: Optional[Dict[str, float]] = None
         for worker_id in range(jobs):
             self._spawn(worker_id)
-
-    @property
-    def heartbeat_interval(self) -> Optional[float]:
-        """The interval baked into this pool's workers (read-only)."""
-        return self._heartbeat_interval
-
-    def configure_supervision(
-        self,
-        *,
-        heartbeat_timeout: Any = _UNSET,
-        unit_deadline: Any = _UNSET,
-        rss_limit_kb: Any = _UNSET,
-        kill_grace: Any = _UNSET,
-    ) -> None:
-        """Adjust parent-side detection knobs on a live pool.
-
-        Only the arguments passed change; ``None`` disables that check.
-        ``heartbeat_interval`` is intentionally absent — it is forked
-        into the workers and cannot change without respawning them.
-        Detection via ``heartbeat_timeout`` requires the pool to have
-        been built with a ``heartbeat_interval`` (otherwise no beats
-        ever arrive and every busy worker would look hung).
-        """
-        for name, value in (
-            ("heartbeat_timeout", heartbeat_timeout),
-            ("unit_deadline", unit_deadline),
-            ("kill_grace", kill_grace),
-        ):
-            if value is not _UNSET and value is not None and value <= 0:
-                raise ParallelError(f"{name} must be positive, got {value}")
-        if heartbeat_timeout is not _UNSET:
-            if heartbeat_timeout is not None and self._heartbeat_interval is None:
-                raise ParallelError(
-                    "heartbeat_timeout needs a pool built with "
-                    "heartbeat_interval (workers are not beating)"
-                )
-            self._heartbeat_timeout = heartbeat_timeout
-        if unit_deadline is not _UNSET:
-            self._unit_deadline = unit_deadline
-        if rss_limit_kb is not _UNSET:
-            self._rss_limit_kb = rss_limit_kb
-        if kill_grace is not _UNSET:
-            if kill_grace is None:
-                raise ParallelError("kill_grace must be positive, got None")
-            self._kill_grace = kill_grace
 
     def _spawn(self, worker_id: int) -> None:
         old = self._workers.get(worker_id)
         if old is not None:
-            # Replacing a dead worker: drain and close its channel so a
-            # leftover report can never be read under the new worker's
-            # id (and any undecoded shm segment is unlinked).
+            # Replacing a dead worker: drain and close its channel so
+            # no leftover report is read under the new worker's id.
             self._retire_channel(old)
         task_queue = self._context.SimpleQueue()
         receiver, sender = self._context.Pipe(duplex=False)
@@ -565,23 +473,6 @@ class WorkerPool:
             raise ParallelError(f"worker {worker_id} is alive; not respawning")
         self._spawn(worker_id)
 
-    def revive(self) -> int:
-        """Respawn every dead (non-retired) worker; returns the count.
-
-        This is how a persistent pool recovers full capacity after a
-        crash: :func:`shared_task_pool` calls it on acquisition so one
-        poisoned sweep does not leave every later sweep running on the
-        surviving workers only.
-        """
-        revived = 0
-        for worker_id, handle in list(self._workers.items()):
-            if handle.sentinel_sent or handle.process.is_alive():
-                continue
-            handle.process.join(0.0)  # reap before replacing
-            self._spawn(worker_id)
-            revived += 1
-        return revived
-
     def kill(self, worker_id: int) -> Optional[int]:
         """Forcibly stop one worker: SIGTERM, then SIGKILL after grace.
 
@@ -612,32 +503,19 @@ class WorkerPool:
         )
         return task_id
 
-    def submit(
-        self,
-        worker_id: int,
-        task_id: int,
-        call: Optional[Tuple[Callable[..., Any], Tuple[Any, ...]]] = None,
-    ) -> None:
-        """Dispatch one task to an idle worker.
+    def submit(self, worker_id: int, task_id: int) -> None:
+        """Dispatch one registry task to an idle worker."""
+        self.submit_batch(worker_id, [task_id])
 
-        ``call=None`` sends registry task ``task_id``; otherwise
-        ``call=(function, args)`` is pickled and sent as a dynamic task.
-        """
-        self.submit_batch(worker_id, [(task_id, call)])
+    def submit_batch(self, worker_id: int, task_ids: Sequence[int]) -> None:
+        """Dispatch registry tasks to an idle worker in one round-trip.
 
-    def submit_batch(
-        self, worker_id: int, items: Sequence[Tuple[int, Any]]
-    ) -> None:
-        """Dispatch a batch of tasks to an idle worker in one round-trip.
-
-        Each item is ``(task_id, payload)`` where payload is ``None``
-        (registry task ``task_id``), a ``(function, args)`` tuple
-        (pickled here), or pre-pickled bytes.  The worker reports each
-        task individually; order within the batch is execution order.
+        The worker reports each task individually; order within the
+        batch is execution order.
         """
         if self._closed:
             raise ParallelError("pool is closed")
-        if not items:
+        if not task_ids:
             raise ParallelError("submit_batch needs at least one task")
         handle = self._workers[worker_id]
         if handle.busy:
@@ -646,22 +524,13 @@ class WorkerPool:
             )
         if not handle.usable:
             raise WorkerCrashError(f"worker {worker_id} is not running")
-        batch = []
-        for task_id, payload in items:
-            if payload is None:
-                spec: Any = task_id
-            elif isinstance(payload, bytes):
-                spec = payload
-            else:
-                spec = pickle.dumps(payload)
-            batch.append((task_id, spec))
-        handle.pending = [task_id for task_id, _spec in batch]
-        handle.dispatched += len(batch)
+        handle.pending = list(task_ids)
+        handle.dispatched += len(handle.pending)
         now = time.monotonic()
         handle.dispatched_at = now
         handle.unit_started_at = None
         handle.last_beat = now
-        handle.task_queue.put(batch)
+        handle.task_queue.put(list(task_ids))
 
     def idle_workers(self) -> List[int]:
         """Usable workers with no task in flight, least-loaded first."""
@@ -704,12 +573,10 @@ class WorkerPool:
     def _retire_channel(self, handle: _WorkerHandle) -> None:
         """Drain and close one worker's pipe for good.
 
-        Any unread ``"done"`` result is stale by definition (the worker
-        is being replaced or the pool is shutting down); its
-        shared-memory segment, if any, is unlinked so nothing leaks.
+        Any unread report is stale by definition (the worker is being
+        replaced or the pool is shutting down).
         """
-        for item in self._drain_receiver(handle):
-            _discard_stale_item(item)
+        self._drain_receiver(handle)
         self._close_receiver(handle)
 
     def _close_receiver(self, handle: _WorkerHandle) -> None:
@@ -906,33 +773,6 @@ class WorkerPool:
             )
         return hangs
 
-    def quiesce(self) -> None:
-        """Return the pool to an idle, fully-alive, empty-queue state.
-
-        Used when a lease hands back a pool with work still in flight
-        (fail-fast stop, an error mid-dispatch): busy workers are
-        killed (their batches are abandoned), every stale message is
-        drained — unlinking any shared-memory result segments that
-        nobody will decode — and dead workers are respawned.  After
-        this the pool is indistinguishable from a freshly built one,
-        minus the fork cost.
-        """
-        if self._closed:
-            return
-        for handle in list(self._workers.values()):
-            if handle.usable and handle.busy:
-                self.kill(handle.worker_id)
-        self._deferred = []
-        for handle in list(self._workers.values()):
-            for item in self._drain_receiver(handle):
-                _discard_stale_item(item)
-        for handle in self._workers.values():
-            handle.current = None
-            handle.pending = []
-            handle.dispatched_at = None
-            handle.unit_started_at = None
-        self.revive()
-
     def close(self, timeout: float = 10.0) -> None:
         """Send sentinels and join workers (idempotent)."""
         if self._closed:
@@ -950,8 +790,7 @@ class WorkerPool:
             # mid-report into a full pipe could otherwise never reach
             # the sentinel (the parent is the only reader).
             while handle.process.is_alive() and time.monotonic() < deadline:
-                for item in self._drain_receiver(handle):
-                    _discard_stale_item(item)
+                self._drain_receiver(handle)
                 handle.process.join(0.05)
             if handle.process.is_alive():
                 handle.process.terminate()
@@ -979,316 +818,10 @@ class WorkerPool:
             self._retire_channel(handle)
         self._closed = True
 
-    def run_calls(
-        self,
-        calls: Optional[
-            Sequence[Tuple[Callable[..., Any], Tuple[Any, ...]]]
-        ] = None,
-        count: Optional[int] = None,
-        *,
-        batch_size: int = 1,
-    ) -> List[Any]:
-        """Run tasks to completion, preserving submission order.
-
-        With ``calls``, each ``(function, args)`` pair is pickled and
-        shipped; with ``count`` alone, registry tasks ``0..count-1`` run
-        instead.  ``batch_size`` tasks travel per worker round-trip
-        (results still arrive per task).  Raises the reconstructed
-        error of the lowest-indexed failing task (after letting
-        in-flight work finish), or :class:`WorkerCrashError` if a
-        worker died running one.
-        """
-        if calls is None:
-            if count is None:
-                raise ParallelError("run_calls needs calls or a task count")
-            total = count
-        else:
-            total = len(calls)
-        batch_size = max(1, int(batch_size))
-        results: List[Any] = [None] * total
-        finished = [False] * total
-        failures: Dict[int, BaseException] = {}
-        requeued: List[int] = []
-        next_task = 0
-        submitted_at: Dict[int, float] = {}
-        stats = {
-            "batches": 0.0,
-            "tasks": 0.0,
-            "queue_wait_s": 0.0,
-            "run_s": 0.0,
-            "encode_s": 0.0,
-            "transfer_s": 0.0,
-            "decode_s": 0.0,
-        }
-        self.last_run_stats = stats
-        while not all(finished):
-            if not failures:
-                for worker_id in self.idle_workers():
-                    batch: List[int] = []
-                    while len(batch) < batch_size:
-                        if requeued:
-                            batch.append(requeued.pop(0))
-                        elif next_task < total:
-                            batch.append(next_task)
-                            next_task += 1
-                        else:
-                            break
-                    if not batch:
-                        break
-                    now = time.monotonic()
-                    for task_id in batch:
-                        submitted_at[task_id] = now
-                    self.submit_batch(
-                        worker_id,
-                        [
-                            (
-                                task_id,
-                                None if calls is None else calls[task_id],
-                            )
-                            for task_id in batch
-                        ],
-                    )
-                    stats["batches"] += 1
-                    stats["tasks"] += len(batch)
-            else:
-                # Stop feeding new work; finish what's in flight so the
-                # lowest-indexed error is deterministic.
-                for index in requeued:
-                    if not finished[index]:
-                        finished[index] = True
-                        failures.setdefault(
-                            index,
-                            ParallelError("cancelled after an earlier failure"),
-                        )
-                requeued = []
-                for index in range(next_task, total):
-                    if not finished[index]:
-                        finished[index] = True
-                        failures.setdefault(
-                            index,
-                            ParallelError("cancelled after an earlier failure"),
-                        )
-            for message in self.poll(0.05):
-                if message.task_id is None or message.kind in ("start", "bye"):
-                    continue
-                index = message.task_id
-                if message.kind == "requeue":
-                    if not finished[index]:
-                        requeued.append(index)
-                    continue
-                if finished[index]:
-                    continue
-                if message.kind == "done":
-                    blob, _elapsed, meta = message.payload
-                    received = time.monotonic()
-                    try:
-                        results[index] = shm_results.decode_result(
-                            blob, meta.get("shm")
-                        )
-                    except ParallelError as error:
-                        failures[index] = error
-                        finished[index] = True
-                        continue
-                    stats["decode_s"] += time.monotonic() - received
-                    stats["run_s"] += meta.get("run_s", 0.0)
-                    stats["encode_s"] += meta.get("encode_s", 0.0)
-                    sent_at = meta.get("sent_at")
-                    if sent_at is not None:
-                        stats["transfer_s"] += max(0.0, received - sent_at)
-                    submitted = submitted_at.get(index)
-                    started_at = meta.get("started_at")
-                    if submitted is not None and started_at is not None:
-                        stats["queue_wait_s"] += max(
-                            0.0, started_at - submitted
-                        )
-                    finished[index] = True
-                elif message.kind == "error":
-                    type_name, text, remote_tb, _elapsed = message.payload
-                    failures[index] = reconstruct_error(
-                        type_name, text, remote_tb
-                    )
-                    finished[index] = True
-                elif message.kind == "crash":
-                    failures[index] = WorkerCrashError(
-                        f"worker {message.worker_id} exited with code "
-                        f"{message.payload} while running task {index}"
-                    )
-                    finished[index] = True
-                elif message.kind == "hang":
-                    reason = (
-                        message.payload.get("reason", "hang")
-                        if isinstance(message.payload, dict)
-                        else "hang"
-                    )
-                    failures[index] = WorkerCrashError(
-                        f"worker {message.worker_id} hung ({reason}) "
-                        f"while running task {index}"
-                    )
-                    finished[index] = True
-            if self.alive_count() == 0 and not all(finished):
-                for worker_id, handle in self._workers.items():
-                    if not handle.usable:
-                        self.respawn(worker_id)
-        if failures:
-            raise failures[min(failures)]
-        return results
-
-
-def parallel_map(
-    thunks: Sequence[Callable[[], Any]], *, jobs: Optional[int] = None
-) -> List[Any]:
-    """Run zero-argument callables, preserving order; serial when jobs<=1.
-
-    The callables may close over arbitrary unpicklable state — they are
-    inherited by the forked workers, never pickled.  On failure the
-    lowest-indexed error is raised (reconstructed for remote failures).
-    """
-    thunks = list(thunks)
-    count = min(resolve_jobs(jobs), len(thunks))
-    if count <= 1:
-        return [thunk() for thunk in thunks]
-    pool = WorkerPool(thunks, count)
-    try:
-        # Registry tasks: workers inherit the closures, only indices ship.
-        return pool.run_calls(count=len(thunks))
-    finally:
-        pool.terminate()
-
-
-#: Process-wide pool reused across calls that ship dynamic tasks (the
-#: sweep family pool and the picklable-unit path of the experiment
-#: engine).  Workers forked at first use know nothing about traces
-#: created later — that is exactly why those tasks travel as
-#: shared-memory handles rather than pickled reference streams.
-_SHARED_POOL: Optional[WorkerPool] = None
-_SHARED_POOL_ATEXIT = False
-_SHARED_POOL_LEASED = False
-
-#: The shared pool always forks with heartbeats available (beats only
-#: flow while a task runs, so an idle pool is silent); leases turn
-#: *detection* on and off per run via ``configure_supervision``.
-_SHARED_HEARTBEAT_INTERVAL = 0.5
-
-
-def shared_task_pool(jobs: int) -> WorkerPool:
-    """Return the persistent dynamic-task pool, (re)creating on demand.
-
-    A pool that lost workers to a crash in an earlier sweep is revived
-    to full strength here — acquisition, not crash time, is when a
-    persistent pool must be healthy.  While a :class:`PoolLease` holds
-    the pool this raises instead of handing out a second reference;
-    use :func:`lease_task_pool`, which falls back to a private pool.
-    """
-    global _SHARED_POOL, _SHARED_POOL_ATEXIT
-    if jobs < 1:
-        raise ParallelError(f"a pool needs at least one worker, got {jobs}")
-    if _SHARED_POOL_LEASED:
-        raise ParallelError(
-            "shared pool is leased; use lease_task_pool() for reentrant use"
-        )
-    pool = _SHARED_POOL
-    if pool is not None and (pool._closed or pool.jobs != jobs):
-        pool.close(timeout=2.0)
-        pool = None
-    if pool is None:
-        pool = WorkerPool(
-            None, jobs, heartbeat_interval=_SHARED_HEARTBEAT_INTERVAL
-        )
-        # Beats are emitted but not judged until a lease asks for it.
-        pool.configure_supervision(heartbeat_timeout=None)
-        _SHARED_POOL = pool
-        if not _SHARED_POOL_ATEXIT:
-            _SHARED_POOL_ATEXIT = True
-            atexit.register(shutdown_shared_pool)
-    else:
-        pool.revive()
-    return pool
-
 
 def shutdown_shared_pool() -> None:
-    """Close the persistent pool (idempotent; registered atexit)."""
-    global _SHARED_POOL, _SHARED_POOL_LEASED
-    _SHARED_POOL_LEASED = False
-    if _SHARED_POOL is not None:
-        _SHARED_POOL.close(timeout=2.0)
-        _SHARED_POOL = None
+    """Close the process-wide pool: a no-op kept for existing callers.
 
-
-def shared_pool_stats() -> Optional[Dict[str, float]]:
-    """Transport stats of the shared pool's last ``run_calls`` (if any)."""
-    if _SHARED_POOL is None:
-        return None
-    return _SHARED_POOL.last_run_stats
-
-
-@dataclass
-class PoolLease:
-    """Temporary custody of a pool, shared or private.
-
-    ``release()`` must always run (use try/finally).  For the shared
-    pool it restores the unsupervised detection knobs and — when the
-    run ended ``dirty`` (failure, fail-fast stop, work abandoned in
-    flight) — quiesces so the next caller sees a clean pool.  For a
-    private pool it closes (clean) or terminates (dirty).  Workers of
-    the shared pool survive release; that is the whole point.
+    Every pool is closed by the ``run_units`` call that built it, so no
+    pool outlives a call and there is nothing process-wide to close.
     """
-
-    pool: WorkerPool
-    shared: bool
-    dirty: bool = False
-    released: bool = False
-
-    def release(self) -> None:
-        global _SHARED_POOL_LEASED
-        if self.released:
-            return
-        self.released = True
-        if self.shared:
-            try:
-                if not self.pool._closed:
-                    self.pool.configure_supervision(
-                        heartbeat_timeout=None,
-                        unit_deadline=None,
-                        rss_limit_kb=None,
-                        kill_grace=1.0,
-                    )
-                    if self.dirty:
-                        self.pool.quiesce()
-            finally:
-                _SHARED_POOL_LEASED = False
-        elif self.dirty:
-            self.pool.terminate()
-        else:
-            self.pool.close()
-
-
-def try_lease_shared_pool(jobs: int) -> Optional[PoolLease]:
-    """Lease the shared pool, or None when it cannot be had.
-
-    The shared pool is unavailable inside a worker, on platforms
-    without fork, or while another lease is outstanding (e.g. a
-    journal callback starting a nested sweep while the engine holds
-    the pool).
-    """
-    global _SHARED_POOL_LEASED
-    if jobs < 1:
-        raise ParallelError(f"a pool needs at least one worker, got {jobs}")
-    if in_worker() or not fork_available():
-        return None
-    if _SHARED_POOL_LEASED:
-        return None
-    pool = shared_task_pool(jobs)
-    _SHARED_POOL_LEASED = True
-    return PoolLease(pool, shared=True)
-
-
-def lease_task_pool(jobs: int) -> PoolLease:
-    """Lease the shared pool, falling back to a private throwaway pool.
-
-    Always returns a lease; callers run the same code either way and
-    ``release()`` does the right thing for both.
-    """
-    lease = try_lease_shared_pool(jobs)
-    if lease is not None:
-        return lease
-    return PoolLease(WorkerPool(None, jobs), shared=False)

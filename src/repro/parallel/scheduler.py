@@ -1,29 +1,22 @@
-"""Dependency-aware ordering and worker affinity for experiment units.
+"""Batch packing and worker affinity for experiment units.
 
-A :class:`~repro.robustness.executor.UnitSpec` may name other units it
-``needs`` (they must succeed first) and an ``affinity`` key (units
-sharing a key run in the same worker, so per-worker caches — attached
-shared-memory traces, warmed stack passes — are actually reused).
+A :class:`~repro.robustness.executor.UnitSpec` may carry an
+``affinity`` key (units sharing a key run in the same worker, so
+worker-local state — a warmed stack pass — is actually reused) and a
+``cost`` estimate steering how many units travel per dispatch.
 
 The scheduler is parent-side bookkeeping only; it never touches
-processes.  The engine asks it three questions: *is this unit spec
-valid* (:func:`validate_units`), *what order should dispatch consider*
-(:func:`topological_order` — stable, so an already-consistent spec
-order is preserved verbatim), and *which worker should run this unit*
-(:class:`AffinityRouter`).
+processes.  The engine asks it three questions: *is this unit list
+valid* (:func:`validate_units`), *how many units go in one dispatch*
+(:func:`plan_batch_size` / :func:`plan_batch_budget`), and *which
+worker should run this unit* (:class:`AffinityRouter`).
 """
 
 from __future__ import annotations
 
-import heapq
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Dict, Optional, Sequence
 
 from repro.errors import ParallelError
-
-
-def unit_needs(spec) -> tuple:
-    """The unit names ``spec`` depends on (units without the field: none)."""
-    return tuple(getattr(spec, "needs", ()) or ())
 
 
 def unit_affinity(spec) -> Optional[str]:
@@ -32,90 +25,17 @@ def unit_affinity(spec) -> Optional[str]:
 
 
 def validate_units(units: Sequence) -> Dict[str, int]:
-    """Check names are unique and every dependency names a known unit.
+    """Check unit names are unique; returns {unit name: index}.
 
-    Returns {unit name: index in ``units``}.  Raises
-    :class:`~repro.errors.ParallelError` on duplicates or unknown
-    dependencies; cycles are caught by :func:`topological_order`.
+    Raises :class:`~repro.errors.ParallelError` on a duplicate: the
+    journal, the timing breakdown and the report are all keyed by name.
     """
     by_name: Dict[str, int] = {}
     for index, spec in enumerate(units):
         if spec.name in by_name:
             raise ParallelError(f"duplicate unit name {spec.name!r}")
         by_name[spec.name] = index
-    for index, spec in enumerate(units):
-        for need in unit_needs(spec):
-            if need not in by_name:
-                raise ParallelError(
-                    f"unit {spec.name!r} needs unknown unit {need!r}"
-                )
-            if need == spec.name:
-                raise ParallelError(f"unit {spec.name!r} depends on itself")
-            if by_name[need] > index:
-                # Spec order is also journal/flush order; a dependency
-                # listed after its dependent would make the serial and
-                # parallel paths disagree about execution order.
-                raise ParallelError(
-                    f"unit {spec.name!r} must be listed after its "
-                    f"dependency {need!r}"
-                )
     return by_name
-
-
-def topological_order(units: Sequence) -> List[int]:
-    """Indices of ``units`` in dependency order, stable by spec order.
-
-    Kahn's algorithm with a min-heap on the original index: whenever
-    several units are ready, the one listed first goes first, so a spec
-    list that is already dependency-consistent comes back unchanged.
-    """
-    by_name = validate_units(units)
-    dependents: Dict[int, List[int]] = {i: [] for i in range(len(units))}
-    indegree = [0] * len(units)
-    for index, spec in enumerate(units):
-        for need in unit_needs(spec):
-            dependents[by_name[need]].append(index)
-            indegree[index] += 1
-    ready = [index for index, degree in enumerate(indegree) if degree == 0]
-    heapq.heapify(ready)
-    order: List[int] = []
-    while ready:
-        index = heapq.heappop(ready)
-        order.append(index)
-        for dependent in dependents[index]:
-            indegree[dependent] -= 1
-            if indegree[dependent] == 0:
-                heapq.heappush(ready, dependent)
-    if len(order) != len(units):
-        cyclic = sorted(
-            units[index].name
-            for index, degree in enumerate(indegree)
-            if degree > 0
-        )
-        raise ParallelError(
-            "dependency cycle among units: " + ", ".join(cyclic)
-        )
-    return order
-
-
-def transitive_dependents(units: Sequence, root: str) -> Set[str]:
-    """Names of every unit that (transitively) needs ``root``."""
-    by_name = {spec.name: spec for spec in units}
-    if root not in by_name:
-        raise ParallelError(f"unknown unit {root!r}")
-    affected: Set[str] = set()
-    changed = True
-    while changed:
-        changed = False
-        for spec in units:
-            if spec.name in affected:
-                continue
-            for need in unit_needs(spec):
-                if need == root or need in affected:
-                    affected.add(spec.name)
-                    changed = True
-                    break
-    return affected
 
 
 #: Target number of dispatch round-trips per worker for a whole run.
@@ -234,10 +154,7 @@ __all__ = [
     "DEFAULT_DISPATCHES_PER_WORKER",
     "plan_batch_budget",
     "plan_batch_size",
-    "topological_order",
-    "transitive_dependents",
     "unit_affinity",
     "unit_cost",
-    "unit_needs",
     "validate_units",
 ]

@@ -21,7 +21,7 @@ multiprogrammed two-page-size kernel vs per-program policy walks).
 Two *suite-level* units ride along:
 
 * ``suite/parallel-sweep`` — one configuration sweep timed serially,
-  again at ``--jobs N`` through the persistent shared worker pool, and
+  again at ``--jobs N`` through ``run_units``' forked worker pool, and
   once more at ``2N`` (the scaling point: ``speedup_jobs4`` with the
   default ``--jobs 2``), recording the wall times and the
   serial/parallel speedups (~1x on a single core, ~N on N).  Every
@@ -81,7 +81,6 @@ import numpy as np
 
 from repro.errors import BenchmarkError, ReproError
 from repro.parallel.cache import SimulationCache
-from repro.parallel.pool import shared_pool_stats
 from repro.perf.baseline import (
     REPORT_SCHEMA,
     check_floors,
@@ -105,11 +104,6 @@ from repro.sim.sweep import sweep_single_size
 from repro.stacksim.lru_stack import lru_miss_curve
 from repro.tlb.indexing import IndexingScheme, ProbeStrategy
 from repro.trace.record import Trace
-from repro.trace.trace_io import (
-    SharedTraceHandle,
-    attach_shared_trace,
-    share_trace,
-)
 from repro.types import PAIR_4KB_32KB
 from repro.workloads.registry import generate_trace
 
@@ -352,7 +346,7 @@ def _time_call(func: Callable[[], Any], repeats: int) -> float:
 
 def _suite_parallel_sweep(
     trace: Trace, repeats: int, jobs: int
-) -> Tuple[Dict[str, Any], Optional[Dict[str, float]]]:
+) -> Dict[str, Any]:
     """Time one pinned sweep serially, at ``jobs`` and at ``2*jobs``.
 
     The second parallel point (``speedup_jobs4`` at double the worker
@@ -361,9 +355,6 @@ def _suite_parallel_sweep(
     the jobs-4 figure should pull further ahead of serial than jobs-2.
     Every parallel run is checked for bit-identical equivalence with
     the serial results before anything is timed.
-
-    Returns the unit record plus the shared pool's transport stats from
-    the last timed parallel run (``--profile`` surfaces them).
     """
     sizes = list(_SWEEP_PAGE_SIZES)
     configs = list(_SWEEP_CONFIGS)
@@ -388,7 +379,6 @@ def _suite_parallel_sweep(
     parallel_seconds = _time_call(
         lambda: sweep_single_size(trace, sizes, configs, jobs=jobs), repeats
     )
-    pool_stats = shared_pool_stats()
     return {
         "name": "suite/parallel-sweep",
         "workload": trace.name,
@@ -403,24 +393,7 @@ def _suite_parallel_sweep(
         "speedup": serial_seconds / parallel_seconds,
         "speedup_jobs4": serial_seconds / parallel4_seconds,
         "threshold_percent": SUITE_LEVEL_THRESHOLD,
-    }, pool_stats
-
-
-def _supervised_sweep_unit(
-    handle: SharedTraceHandle,
-    size: int,
-    configs: Tuple[TLBConfig, ...],
-) -> Any:
-    """One ``suite/supervised-sweep`` unit: a single-page-size sweep.
-
-    Module-level (and fed a :class:`SharedTraceHandle`, not a trace) so
-    the whole unit pickles small — that is what lets ``run_units`` ship
-    it to the *persistent shared pool* instead of forking a private
-    pool per timing repeat.  Both arms of the supervised-sweep unit pay
-    the same dispatch path, so their ratio isolates supervision cost.
-    """
-    trace = attach_shared_trace(handle)
-    return sweep_single_size(trace, [size], list(configs))
+    }
 
 
 def _suite_supervised_sweep(
@@ -444,8 +417,7 @@ def _suite_supervised_sweep(
     from repro.robustness.executor import UnitSpec, run_units
 
     sizes = list(_SWEEP_PAGE_SIZES)
-    configs = tuple(_SWEEP_CONFIGS)
-    handle = share_trace(trace)
+    configs = list(_SWEEP_CONFIGS)
     last_timing: List[Optional[Dict[str, Any]]] = [None]
 
     def make_units() -> List[UnitSpec]:
@@ -453,7 +425,7 @@ def _suite_supervised_sweep(
             UnitSpec(
                 name=f"sweep/{size}",
                 run=functools.partial(
-                    _supervised_sweep_unit, handle, size, configs
+                    sweep_single_size, trace, [size], configs
                 ),
             )
             for size in sizes
@@ -549,9 +521,7 @@ def run_suite(
     """Execute the pinned suite and return the report as a dict.
 
     With ``profile=True`` the report gains a ``profile`` block: the
-    shared pool's transport stats from the last timed parallel sweep
-    (batches, tasks, queue-wait/run/encode/transfer/decode seconds) and
-    the supervised sweep's per-unit timing breakdown
+    supervised sweep's per-unit timing breakdown
     (dispatch/queue-wait/run/result-transfer/flush per unit, plus
     totals).  Measurement itself is unchanged — the data is collected
     either way; ``profile`` only controls whether it is reported.
@@ -592,10 +562,7 @@ def run_suite(
             }
         )
 
-    sweep_unit, pool_stats = _suite_parallel_sweep(
-        traces["matrix300"], repeats, jobs
-    )
-    units.append(sweep_unit)
+    units.append(_suite_parallel_sweep(traces["matrix300"], repeats, jobs))
     supervised_unit, unit_timing = _suite_supervised_sweep(
         traces["matrix300"], repeats, jobs
     )
@@ -616,10 +583,7 @@ def run_suite(
         "units": units,
     }
     if profile:
-        report["profile"] = {
-            "parallel_sweep_pool": pool_stats,
-            "supervised_sweep_timing": unit_timing,
-        }
+        report["profile"] = {"supervised_sweep_timing": unit_timing}
     return report
 
 
@@ -701,18 +665,6 @@ def _render_profile(report: Dict[str, Any]) -> str:
     """Human-readable dump of the report's ``profile`` block."""
     profile = report.get("profile") or {}
     lines = ["profile:"]
-    pool = profile.get("parallel_sweep_pool")
-    if pool:
-        lines.append(
-            "  parallel-sweep pool: "
-            f"{pool.get('batches', 0):.0f} batches / "
-            f"{pool.get('tasks', 0):.0f} tasks, "
-            f"queue_wait {pool.get('queue_wait_s', 0.0):.3f}s, "
-            f"run {pool.get('run_s', 0.0):.3f}s, "
-            f"encode {pool.get('encode_s', 0.0):.3f}s, "
-            f"transfer {pool.get('transfer_s', 0.0):.3f}s, "
-            f"decode {pool.get('decode_s', 0.0):.3f}s"
-        )
     timing = profile.get("supervised_sweep_timing") or {}
     totals = timing.get("totals")
     if totals:

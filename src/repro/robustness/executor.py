@@ -42,14 +42,11 @@ STATUS_SKIPPED = "skipped"
 class UnitSpec:
     """One schedulable unit of work: a name and a zero-argument callable.
 
-    ``needs`` names units that must *complete successfully* first (they
-    must be listed earlier in the suite); if one fails, this unit is
-    recorded FAILED without running.  ``affinity`` is an opaque grouping
-    key for parallel runs — units sharing a key run in the same worker
-    process, so worker-local state (attached shared-memory traces, a
-    warmed stack pass) is actually reused.  Both are ignored-but-honored
-    in serial runs: ``needs`` still gates execution, ``affinity`` is
-    moot when there is only one process.
+    Units are independent: each runs (or fails) on its own, and results
+    are published in list order.  ``affinity`` is an opaque grouping key
+    for parallel runs — units sharing a key run in the same worker
+    process, so worker-local state (a warmed stack pass) is actually
+    reused; it is moot in serial runs.
 
     ``cost`` is an optional relative size estimate (e.g. estimated
     references x geometry count) steering parallel batch packing; it
@@ -58,7 +55,6 @@ class UnitSpec:
 
     name: str
     run: Callable[[], Any]
-    needs: Tuple[str, ...] = ()
     affinity: Optional[str] = None
     cost: Optional[float] = None
 
@@ -201,11 +197,12 @@ def run_units(
     resumed run can re-publish outputs without re-running the unit.
 
     ``jobs`` spreads units over that many forked worker processes
-    (``0`` = one per CPU; default serial).  The parallel path
-    (:mod:`repro.parallel.engine`) produces the same report, journal
-    contents and callback order as this serial loop: workers only
-    compute, while the parent publishes and journals outcomes as a
-    contiguous prefix of spec order.  ``clock``/``sleep`` injection only
+    (``0`` = one per CPU; default serial).  The workers inherit the unit
+    closures by fork, so units need not pickle; their results must.
+    The parallel path (:mod:`repro.parallel.engine`) produces the same
+    report, journal contents and callback order as this serial loop:
+    workers only compute, while the parent publishes and journals
+    outcomes as a contiguous prefix of spec order.  ``clock``/``sleep`` injection only
     affects worker-side retry timing through the fork, so tests that
     fake time should stay serial.
 
@@ -241,13 +238,12 @@ def run_units(
             supervision=supervision,
             batch_size=batch_size,
         )
-    if any(spec.needs or spec.affinity is not None for spec in units):
+    if any(spec.affinity is not None for spec in units):
         from repro.parallel.scheduler import validate_units
 
         validate_units(units)
 
     report = SuiteReport()
-    failed_names = set()
     for spec in units:
         if resume and journal is not None and journal.completed(spec.name):
             previous = journal.get(spec.name)
@@ -260,32 +256,6 @@ def run_units(
             )
             if on_skip is not None:
                 on_skip(spec)
-            continue
-
-        failed_needs = [need for need in spec.needs if need in failed_names]
-        if failed_needs:
-            from repro.errors import ParallelError
-
-            error = ParallelError(f"dependency {failed_needs[0]!r} failed")
-            error_text = f"{type(error).__name__}: {error}"
-            failed_names.add(spec.name)
-            if journal is not None:
-                journal.record_failure(
-                    spec.name, error=error_text, elapsed=0.0, attempts=0
-                )
-            report.outcomes.append(
-                UnitOutcome(
-                    name=spec.name,
-                    status=STATUS_FAILED,
-                    error=error_text,
-                    elapsed=0.0,
-                    attempts=0,
-                )
-            )
-            if on_failure is not None:
-                on_failure(spec, error)
-            if fail_fast:
-                break
             continue
 
         deadline = Deadline(deadline_seconds, clock=clock)
@@ -307,7 +277,6 @@ def run_units(
                 )
 
         def record_unit_failure(error, attempts, _spec=spec, _started=started):
-            failed_names.add(_spec.name)
             elapsed = clock() - _started
             trace_text = "".join(
                 traceback_module.format_exception(

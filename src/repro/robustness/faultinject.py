@@ -18,8 +18,7 @@ Three families of faults, all fully deterministic so failures reproduce:
 
 * **Parallel chaos** against the worker pool (:class:`ChaosPlan`):
   seeded selection of victim units whose workers are SIGKILLed or hung
-  mid-unit, plus corruption helpers for shared-memory trace segments
-  (:func:`corrupt_shared_memory`) and result-cache entries
+  mid-unit, plus a corruption helper for result-cache entries
   (:func:`corrupt_cache_entry`).  Strikes fire **only inside pool
   workers** (never in the parent or a degraded-serial run) and use a
   token directory for exactly-``times`` cross-process semantics, so a
@@ -324,29 +323,6 @@ class ChaosPlan:
         return sum(1 for _ in self.token_dir.iterdir())
 
 
-def corrupt_shared_memory(shm_name: str, *, seed: int = 0) -> int:
-    """Flip one seeded byte of a shared-memory segment; returns offset.
-
-    Models a scribbler or bit flip in the shared trace transport;
-    :func:`repro.trace.trace_io.attach_shared_trace` must catch it via
-    the handle CRC and raise
-    :class:`~repro.errors.TraceIntegrityError` instead of simulating
-    garbage.  POSIX shared memory is a tmpfs file, so the flip goes
-    through the file — writes are visible to every existing mapping and
-    no :class:`~multiprocessing.shared_memory.SharedMemory` attach (with
-    its resource-tracker registration side effects) is needed.
-    """
-    path = os.path.join("/dev/shm", shm_name.lstrip("/"))
-    if not os.path.exists(path):
-        raise ConfigurationError(
-            f"shared memory segment {shm_name!r} not found at {path}"
-        )
-    rng = random.Random(seed)
-    offset = rng.randrange(os.path.getsize(path))
-    flip_byte(path, offset, mask=rng.randrange(1, 256))
-    return offset
-
-
 def corrupt_cache_entry(root: PathLike, *, seed: int = 0) -> Path:
     """Flip one seeded byte of one result-cache entry; returns its path."""
     entries = sorted(Path(root).rglob("*.json"))
@@ -365,7 +341,6 @@ __all__ = [
     "TransientInjectedFault",
     "check",
     "corrupt_cache_entry",
-    "corrupt_shared_memory",
     "corrupt_trace",
     "flaky",
     "flip_byte",

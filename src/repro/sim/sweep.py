@@ -17,30 +17,31 @@ journaled — one pass is expensive, its results are precious.  A
 :class:`~repro.parallel.cache.SimulationCache` adds a second,
 cross-run layer: results found there are copied into the journal
 without simulating.  ``jobs`` fans independent stack-pass families out
-over the persistent worker pool (leased via
-:func:`repro.parallel.pool.lease_task_pool`), shipping the trace once
-via shared memory instead of pickling it per task and batching several
-families per dispatch round-trip.
+as one :func:`~repro.robustness.executor.run_units` unit each; the
+workers inherit the page-number arrays by fork, and results are still
+recorded in serial order.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.mem.misshandler import SINGLE_SIZE_PENALTY_CYCLES
 from repro.parallel.cache import (
     CACHE_KEY_VERSION,
     SimulationCache,
     canonical_key,
 )
-from repro.parallel.pool import lease_task_pool, resolve_jobs
-from repro.parallel.scheduler import plan_batch_size
+from repro.parallel.pool import resolve_jobs
 from repro.perf.kernels import KERNEL_AUTO
 from repro.robustness import faultinject
+from repro.robustness.executor import UnitSpec, run_units
 from repro.robustness.journal import RunJournal
+from repro.robustness.retry import NO_RETRY
 from repro.sim.config import SingleSizeScheme, TLBConfig
 from repro.sim.driver import RunResult
 from repro.stacksim.lru_stack import (
@@ -49,11 +50,6 @@ from repro.stacksim.lru_stack import (
     per_set_miss_curve,
 )
 from repro.trace.record import Trace
-from repro.trace.trace_io import (
-    SharedTraceHandle,
-    attach_shared_trace,
-    share_trace,
-)
 from repro.types import log2_exact
 
 
@@ -125,42 +121,6 @@ def _family_curve(
     return per_set_miss_curve(
         indices, pages, max_associativity=depth, kernel=kernel
     )
-
-
-#: Worker-local warm cache of page-number arrays, keyed by (segment
-#: name, page shift).  Several stack-pass families of one sweep share a
-#: page size; recomputing the shift per task would redo a full-trace
-#: vector op the worker already did for the previous batch item.  Small
-#: and bounded: entries die with the segment's sweep (new shm name).
-_PAGES_CACHE: Dict[Tuple[str, int], np.ndarray] = {}
-_PAGES_CACHE_LIMIT = 16
-
-
-def _family_curve_task(
-    handle: SharedTraceHandle,
-    page_shift: int,
-    index_shift: int,
-    sets: int,
-    depth: int,
-    kernel: str,
-) -> MissCurve:
-    """Worker-side stack pass over a shared-memory trace.
-
-    Module-level so it pickles by reference; the trace itself travels as
-    a :class:`SharedTraceHandle` and is attached (and cached) inside the
-    worker rather than being serialized per task.  The derived
-    page-number array is cached per (segment, shift) so batch siblings
-    with the same page size skip straight to the stack pass.
-    """
-    key = (handle.shm_name, page_shift)
-    pages = _PAGES_CACHE.get(key)
-    if pages is None:
-        trace = attach_shared_trace(handle)
-        pages = trace.addresses >> np.uint32(page_shift)
-        if len(_PAGES_CACHE) >= _PAGES_CACHE_LIMIT:
-            _PAGES_CACHE.clear()
-        _PAGES_CACHE[key] = pages
-    return _family_curve(pages, index_shift, sets, depth, kernel)
 
 
 def sweep_single_size(
@@ -270,64 +230,48 @@ def sweep_single_size(
         if remaining:
             pending.append((page_size, remaining))
 
-    worker_count = resolve_jobs(jobs)
-    family_count = sum(
-        len(_group_by_sets(remaining)) for _size, remaining in pending
-    )
-    if worker_count > 1 and family_count > 1:
-        # Parallel: every pending page size's fault check runs up front
-        # (serial interleaves them with the passes), then the stack
-        # passes fan out over the persistent shared pool with the trace
-        # attached once per worker via shared memory.  Extraction — and
-        # therefore the journal record order — replays the serial
-        # (page size, set-count group, config) order.
-        families: List[Tuple[int, int, int, List[TLBConfig]]] = []
-        for page_size, remaining in pending:
-            faultinject.check("sim.sweep")
-            for sets, group in _group_by_sets(remaining).items():
-                families.append(
-                    (page_size, sets, _family_depth(sets, group), group)
-                )
-        handle = share_trace(trace)
-        lease = lease_task_pool(worker_count)
-        try:
-            curves = lease.pool.run_calls(
-                calls=[
-                    (
-                        _family_curve_task,
-                        (
-                            handle,
-                            log2_exact(page_size),
-                            index_shift,
-                            sets,
-                            depth,
-                            kernel,
-                        ),
-                    )
-                    for page_size, sets, depth, _group in families
-                ],
-                batch_size=plan_batch_size(len(families), worker_count),
-            )
-        except BaseException:
-            lease.dirty = True
-            raise
-        finally:
-            lease.release()
-        for (page_size, sets, _depth, group), curve in zip(families, curves):
-            for config in group:
-                ways = config.entries if sets == 1 else config.entries // sets
-                record(page_size, config, ways, curve)
-    else:
+    def families():
+        """(page size, sets, depth, group, pages) per stack pass, lazily."""
         for page_size, remaining in pending:
             faultinject.check("sim.sweep")
             pages = trace.addresses >> np.uint32(log2_exact(page_size))
             for sets, group in _group_by_sets(remaining).items():
-                depth = _family_depth(sets, group)
-                curve = _family_curve(pages, index_shift, sets, depth, kernel)
-                for config in group:
-                    ways = (
-                        config.entries if sets == 1
-                        else config.entries // sets
-                    )
-                    record(page_size, config, ways, curve)
+                yield page_size, sets, _family_depth(sets, group), group, pages
+
+    def family_curve(family) -> MissCurve:
+        _page_size, sets, depth, _group, pages = family
+        return _family_curve(pages, index_shift, sets, depth, kernel)
+
+    family_count = sum(
+        len(_group_by_sets(remaining)) for _size, remaining in pending
+    )
+    if resolve_jobs(jobs) > 1 and family_count > 1:
+        # Every fault check runs up front (serial interleaves them with
+        # the passes), then one unit per family; the page arrays reach
+        # the workers by fork.  Extraction — and therefore the journal
+        # record order — replays the serial order.
+        planned = list(families())
+        report = run_units(
+            [
+                UnitSpec(
+                    name=f"sweep/{family[0]}/sets{family[1]}",
+                    run=functools.partial(family_curve, family),
+                )
+                for family in planned
+            ],
+            retry_policy=NO_RETRY,
+            jobs=jobs,
+        )
+        if report.failures:
+            failure = report.failures[0]
+            raise SimulationError(
+                f"sweep family {failure.name} failed: {failure.error}"
+            )
+        passes = zip(planned, (o.result for o in report.outcomes))
+    else:
+        passes = ((family, family_curve(family)) for family in families())
+    for (page_size, sets, _depth, group, _pages), curve in passes:
+        for config in group:
+            ways = config.entries if sets == 1 else config.entries // sets
+            record(page_size, config, ways, curve)
     return results

@@ -2,13 +2,12 @@
 
 Every fault class the supervised engine claims to contain is exercised
 end to end: SIGKILLed workers, crash-looping poison units, pure hangs
-caught by the per-unit deadline, heartbeat loss (SIGSTOP), shared-memory
-corruption, result-cache corruption, and total pool collapse into
-degraded-serial mode.  The contract under test is the supervision
-acceptance criterion — a chaos run terminates within its deadline and
-yields either results identical to a clean serial run or a structured
-failure report (no hangs, no silent wrong answers), and ``--resume``
-completes the remainder.
+caught by the per-unit deadline, heartbeat loss (SIGSTOP), result-cache
+corruption, and total pool collapse into degraded-serial mode.  The
+contract under test is the supervision acceptance criterion — a chaos
+run terminates within its deadline and yields either results identical
+to a clean serial run or a structured failure report (no hangs, no
+silent wrong answers), and ``--resume`` completes the remainder.
 
 Chaos strikes fire only inside pool workers, so the same wrapped units
 double as their own serial baseline.
@@ -21,30 +20,20 @@ import time
 
 import pytest
 
-from repro.errors import ParallelError, WorkerCrashError
-from repro.parallel.pool import (
-    WorkerPool,
-    fork_available,
-    shared_task_pool,
-    shutdown_shared_pool,
-)
+from repro.errors import ParallelError
+from repro.parallel.pool import WorkerPool, fork_available
 from repro.parallel.supervisor import SupervisorConfig
 from repro.robustness import faultinject
 from repro.robustness.executor import UnitSpec, run_units
 from repro.robustness.journal import RunJournal
-from repro.robustness.retry import RetryPolicy
 from repro.sim.config import SingleSizeScheme, TLBConfig
 from repro.sim.driver import run_single_size
-from repro.trace.trace_io import attach_shared_trace, share_trace
 from repro.workloads.registry import generate_trace
 
 pytestmark = [
     pytest.mark.chaos,
     pytest.mark.skipif(not fork_available(), reason="needs fork"),
 ]
-
-NO_RETRY = RetryPolicy(max_attempts=1, base_delay=0.0)
-
 
 def _units(plan=None, count=4):
     """Deterministic units (``u0``..): value * 11, optionally chaotic."""
@@ -67,14 +56,6 @@ def _journal_units(path):
             if record.get("type") == "unit":
                 names.append(record["unit"])
     return names
-
-
-def _exit_hard():
-    os._exit(7)
-
-
-def _double(value):
-    return value * 2
 
 
 class TestKillRecovery:
@@ -238,29 +219,6 @@ class TestHangContainment:
             pool.terminate()
 
 
-class TestSharedMemoryCorruption:
-    def test_corrupt_segment_is_a_structured_failure(self):
-        trace = generate_trace("espresso", 4000, seed=23)
-        handle = share_trace(trace)
-        faultinject.corrupt_shared_memory(handle.shm_name, seed=2)
-        units = [
-            UnitSpec(
-                name="attach",
-                run=lambda: int(attach_shared_trace(handle).addresses.sum()),
-            ),
-            UnitSpec(name="plain", run=lambda: 7),
-        ]
-        report = run_units(units, jobs=2, retry_policy=NO_RETRY)
-        assert report.exit_code == 1
-        statuses = {o.name: o.status for o in report.outcomes}
-        assert statuses == {"attach": "failed", "plain": "ok"}
-        failed = next(o for o in report.outcomes if o.name == "attach")
-        # A CRC mismatch, reported with both checksums — never garbage
-        # simulated silently.
-        assert "TraceIntegrityError" in failed.error
-        assert "CRC" in failed.error
-
-
 class TestCacheCorruption:
     SCHEME = SingleSizeScheme(4096)
     CONFIGS = (TLBConfig(entries=16, associativity=2), TLBConfig(entries=8))
@@ -333,26 +291,6 @@ class TestDegradedSerial:
                     max_respawns=0, degraded_ok=False
                 ),
             )
-
-
-class TestSharedPoolRecovery:
-    def test_revived_to_full_strength_after_crash(self):
-        shutdown_shared_pool()  # isolate from earlier tests
-        try:
-            pool = shared_task_pool(2)
-            with pytest.raises(WorkerCrashError):
-                pool.run_calls(calls=[(_exit_hard, ())])
-            assert pool.alive_count() < 2
-
-            # Acquisition — not crash time — restores full capacity.
-            again = shared_task_pool(2)
-            assert again is pool
-            assert pool.alive_count() == 2
-            assert pool.run_calls(
-                calls=[(_double, (21,)), (_double, (4,))]
-            ) == [42, 8]
-        finally:
-            shutdown_shared_pool()
 
 
 class TestCloseUnderAdversity:

@@ -5,6 +5,8 @@ the same results, the same journal records in the same order, and the
 same published outputs as a serial run — only the wall clock may
 differ.  Plus the failure story: a worker that dies mid-unit fails only
 that unit, and a journal written under ``jobs=4`` resumes serially.
+``map_workloads``, the per-workload fan-out of the experiments, rides
+the same engine and keeps the same order and error contract.
 """
 
 import json
@@ -15,16 +17,14 @@ import numpy as np
 import pytest
 
 from repro.errors import ParallelError
+from repro.experiments.scale import map_workloads
 from repro.parallel.pool import (
     fork_available,
     in_worker,
-    parallel_map,
     resolve_jobs,
 )
 from repro.parallel.scheduler import (
     AffinityRouter,
-    topological_order,
-    transitive_dependents,
     validate_units,
 )
 from repro.robustness.executor import UnitSpec, run_units
@@ -32,10 +32,6 @@ from repro.robustness.journal import RunJournal
 from repro.robustness.retry import RetryPolicy
 from repro.sim.config import TLBConfig
 from repro.sim.sweep import sweep_single_size
-from repro.trace.trace_io import (
-    attach_shared_trace,
-    share_trace,
-)
 from repro.workloads.registry import generate_trace
 
 pytestmark = [
@@ -44,14 +40,9 @@ pytestmark = [
 ]
 
 
-def _spec(name, value, needs=(), affinity=None):
+def _spec(name, value, affinity=None):
     """A deterministic unit: squares its value (picklable result)."""
-    return UnitSpec(
-        name=name,
-        run=lambda v=value: v * v,
-        needs=tuple(needs),
-        affinity=affinity,
-    )
+    return UnitSpec(name=name, run=lambda v=value: v * v, affinity=affinity)
 
 
 def _journal_units(path):
@@ -69,37 +60,6 @@ class TestScheduler:
     def test_duplicate_names_rejected(self):
         with pytest.raises(ParallelError, match="duplicate"):
             validate_units([_spec("a", 1), _spec("a", 2)])
-
-    def test_unknown_dependency_rejected(self):
-        with pytest.raises(ParallelError, match="unknown"):
-            validate_units([_spec("a", 1, needs=("ghost",))])
-
-    def test_self_dependency_rejected(self):
-        with pytest.raises(ParallelError, match="itself"):
-            validate_units([_spec("a", 1, needs=("a",))])
-
-    def test_dependency_after_dependent_rejected(self):
-        with pytest.raises(ParallelError, match="listed after"):
-            validate_units([_spec("a", 1, needs=("b",)), _spec("b", 2)])
-
-    def test_topological_order_is_stable(self):
-        units = [
-            _spec("a", 1),
-            _spec("b", 2, needs=("a",)),
-            _spec("c", 3),
-            _spec("d", 4, needs=("b", "c")),
-        ]
-        # Already dependency-consistent: spec order comes back verbatim.
-        assert topological_order(units) == [0, 1, 2, 3]
-
-    def test_transitive_dependents(self):
-        units = [
-            _spec("a", 1),
-            _spec("b", 2, needs=("a",)),
-            _spec("c", 3, needs=("b",)),
-            _spec("d", 4),
-        ]
-        assert transitive_dependents(units, "a") == {"b", "c"}
 
     def test_affinity_router_is_sticky(self):
         router = AffinityRouter()
@@ -123,48 +83,43 @@ class TestPool:
         with pytest.raises(ParallelError):
             resolve_jobs(-1)
 
-    def test_parallel_map_preserves_order(self):
-        thunks = [lambda i=i: i * 10 for i in range(7)]
-        assert parallel_map(thunks, jobs=2) == [i * 10 for i in range(7)]
-        assert parallel_map(thunks, jobs=None) == [i * 10 for i in range(7)]
-
-    def test_parallel_map_raises_lowest_indexed_error(self):
-        def boom():
-            raise ValueError("boom")
-
-        thunks = [lambda: 1, boom, lambda: 3]
-        with pytest.raises(Exception, match="boom") as info:
-            parallel_map(thunks, jobs=2)
-        assert type(info.value).__name__ == "ValueError"
-
     def test_no_nested_parallelism(self):
         assert not in_worker()
         # Inside a worker, any jobs request resolves to serial.
-        assert parallel_map([lambda: resolve_jobs(4)] * 2, jobs=2) == [1, 1]
-        assert parallel_map([in_worker] * 2, jobs=2) == [True, True]
+        names = ["li", "gcc"]
+        nested = map_workloads(lambda _name: resolve_jobs(4), names, jobs=2)
+        assert nested == [1, 1]
+        inside = map_workloads(lambda _name: in_worker(), names, jobs=2)
+        assert inside == [True, True]
 
 
-class TestSharedTraces:
-    def test_round_trip_and_attach_cache(self):
-        trace = generate_trace("li", 3000, seed=11)
-        handle = share_trace(trace)
-        # Idempotent per content: same fingerprint, same segment.
-        assert share_trace(trace).shm_name == handle.shm_name
-        attached = attach_shared_trace(handle)
-        assert attached is attach_shared_trace(handle)  # per-process cache
-        assert attached.name == trace.name
-        assert attached.fingerprint == trace.fingerprint
-        np.testing.assert_array_equal(attached.addresses, trace.addresses)
-        np.testing.assert_array_equal(attached.kinds, trace.kinds)
+class TestMapWorkloads:
+    NAMES = ["li", "gcc", "espresso", "matrix300", "tomcatv"]
 
-    def test_worker_reads_shared_trace(self):
-        trace = generate_trace("espresso", 3000, seed=5)
-        handle = share_trace(trace)
-        sums = parallel_map(
-            [lambda: int(attach_shared_trace(handle).addresses.sum())] * 2,
-            jobs=2,
-        )
-        assert sums == [int(trace.addresses.sum())] * 2
+    def test_preserves_order(self):
+        def measure(name):
+            return name.upper(), os.getpid()
+
+        results = map_workloads(measure, self.NAMES, jobs=2)
+        assert [value for value, _pid in results] == [
+            name.upper() for name in self.NAMES
+        ]
+        assert os.getpid() not in {pid for _value, pid in results}
+        # The default name list is the paper's workload order.
+        assert map_workloads(len, jobs=2) == map_workloads(len)
+
+    def test_names_lowest_indexed_failure(self):
+        def measure(name):
+            if name in ("gcc", "matrix300"):
+                raise ValueError(f"bad {name}")
+            return name
+
+        with pytest.raises(ParallelError) as info:
+            map_workloads(measure, self.NAMES, jobs=2)
+        assert str(info.value) == "workload 'gcc' failed: ValueError: bad gcc"
+        # Serially the original exception propagates unchanged.
+        with pytest.raises(ValueError, match="bad gcc"):
+            map_workloads(measure, self.NAMES)
 
 
 class TestRunUnitsEquivalence:
@@ -270,28 +225,6 @@ class TestRunUnitsEquivalence:
         pids = {outcome.result for outcome in report.outcomes}
         assert len(pids) == 1 and os.getpid() not in pids
 
-    def test_failed_dependency_fails_dependent(self, tmp_path):
-        def boom():
-            raise RuntimeError("root failed")
-
-        units = [
-            UnitSpec(name="root", run=boom),
-            UnitSpec(name="leaf", run=lambda: 1, needs=("root",)),
-            UnitSpec(name="free", run=lambda: 2),
-        ]
-        for jobs in (None, 2):
-            report = run_units(
-                units,
-                retry_policy=RetryPolicy(max_attempts=1, base_delay=0.0),
-                jobs=jobs,
-            )
-            statuses = {o.name: o.status for o in report.outcomes}
-            assert statuses == {
-                "root": "failed", "leaf": "failed", "free": "ok"
-            }
-            leaf = next(o for o in report.outcomes if o.name == "leaf")
-            assert "dependency" in leaf.error
-
 
 class TestWorkerCrash:
     def test_dead_worker_fails_only_its_unit(self, tmp_path):
@@ -368,10 +301,6 @@ class TestBatchedDispatch:
         assert report.ok and report.timing is None
 
 
-def _worker_pid():
-    return os.getpid()
-
-
 def _big_payload():
     return {
         "addresses": np.arange(200_000, dtype=np.uint64),
@@ -379,31 +308,17 @@ def _big_payload():
     }
 
 
-class TestPersistentPool:
-    def test_worker_processes_reused_across_runs(self):
-        # Consecutive run_units calls at the same worker count must land
-        # on the same worker processes — the fork cost is paid once per
-        # pool, not once per call.
-        def units(prefix):
-            return [
-                UnitSpec(name=f"{prefix}{i}", run=_worker_pid)
-                for i in range(4)
-            ]
-
-        first = run_units(units("a"), jobs=2)
-        second = run_units(units("b"), jobs=2)
-        assert first.ok and second.ok
-        first_pids = {o.result for o in first.outcomes}
-        second_pids = {o.result for o in second.outcomes}
-        assert os.getpid() not in first_pids
-        assert first_pids == second_pids
-
-    def test_large_result_round_trips_through_shared_memory(self):
-        # A >1MB numpy payload crosses back via a shared-memory segment
-        # (the pipe carries only a descriptor) and must arrive intact.
+class TestResultTransport:
+    def test_large_result_round_trips(self):
+        # A >1MB numpy payload comes back as a plain pickle on the
+        # worker's result pipe and must arrive intact.
         expected = _big_payload()
         report = run_units(
-            [UnitSpec(name="big", run=_big_payload)], jobs=2
+            [
+                UnitSpec(name="big", run=_big_payload),
+                UnitSpec(name="small", run=lambda: 1),
+            ],
+            jobs=2,
         )
         assert report.ok
         result = report.outcomes[0].result
@@ -411,61 +326,6 @@ class TestPersistentPool:
         np.testing.assert_array_equal(
             result["addresses"], expected["addresses"]
         )
-
-
-class TestShmResults:
-    def test_small_results_stay_on_the_pipe(self):
-        from repro.parallel import shm_results
-
-        blob, descriptor = shm_results.encode_result({"x": 1, "y": [2, 3]})
-        assert descriptor is None
-        assert shm_results.decode_result(blob, None) == {"x": 1, "y": [2, 3]}
-
-    def test_large_arrays_diverted_and_restored(self):
-        from repro.parallel import shm_results
-
-        payload = {
-            "a": np.arange(100_000, dtype=np.uint64),
-            "b": np.ones(50_000, dtype=np.float64),
-            "small": np.arange(4, dtype=np.uint8),  # under the threshold
-            "plain": "metadata",
-        }
-        blob, descriptor = shm_results.encode_result(payload)
-        assert descriptor is not None
-        assert len(descriptor.arrays) == 2  # only the big ones diverted
-        assert len(blob) < payload["a"].nbytes  # pipe carries no bulk data
-        decoded = shm_results.decode_result(blob, descriptor)
-        np.testing.assert_array_equal(decoded["a"], payload["a"])
-        np.testing.assert_array_equal(decoded["b"], payload["b"])
-        np.testing.assert_array_equal(decoded["small"], payload["small"])
-        assert decoded["plain"] == "metadata"
-
-    def test_corrupt_segment_is_a_structured_failure(self):
-        from multiprocessing import shared_memory
-
-        from repro.parallel import shm_results
-
-        blob, descriptor = shm_results.encode_result(
-            np.arange(100_000, dtype=np.uint64)
-        )
-        assert descriptor is not None
-        segment = shared_memory.SharedMemory(name=descriptor.shm_name)
-        try:
-            segment.buf[0] = segment.buf[0] ^ 0xFF
-        finally:
-            segment.close()
-        with pytest.raises(ParallelError, match="CRC"):
-            shm_results.decode_result(blob, descriptor)
-
-    def test_discard_is_idempotent(self):
-        from repro.parallel import shm_results
-
-        _blob, descriptor = shm_results.encode_result(
-            np.arange(100_000, dtype=np.uint64)
-        )
-        shm_results.discard_result(descriptor)
-        shm_results.discard_result(descriptor)  # already unlinked: no-op
-        shm_results.discard_result(None)
 
 
 class TestResumeAcrossModes:

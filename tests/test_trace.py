@@ -1,5 +1,7 @@
 """Tests for the trace substrate: records, IO round-trips, stats, mixing."""
 
+import multiprocessing
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -110,6 +112,16 @@ class TestTrace:
         assert small_trace(name="x") != small_trace(name="y")
 
 
+def _write_repeatedly(path, trace, start, failures, rounds=300):
+    start.wait(timeout=60)
+    for _ in range(rounds):
+        try:
+            write_trace(path, trace)
+        except OSError:
+            with failures.get_lock():
+                failures.value += 1
+
+
 class TestBinaryIO:
     def test_round_trip(self, tmp_path):
         trace = small_trace(name="round-trip", rpi=1.4)
@@ -176,6 +188,40 @@ class TestBinaryIO:
         path = tmp_path / "atomic.rpt"
         write_trace(path, small_trace())
         assert [p.name for p in tmp_path.iterdir()] == ["atomic.rpt"]
+
+    def test_failed_write_removes_its_tmp_file(self, tmp_path):
+        path = tmp_path / "occupied.rpt"
+        path.mkdir()  # os.replace cannot put a file over a directory
+        with pytest.raises(OSError):
+            write_trace(path, small_trace())
+        assert [p.name for p in tmp_path.iterdir()] == ["occupied.rpt"]
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="needs fork",
+    )
+    def test_concurrent_writers_of_one_path_never_fail(self, tmp_path):
+        # Forked workers filling one trace cache write the same file at
+        # the same time; each writer must finish and leave a whole file.
+        context = multiprocessing.get_context("fork")
+        failures = context.Value("i", 0)
+        start = context.Barrier(2)
+        path = tmp_path / "shared.rpt"
+        trace = Trace(np.arange(20_000, dtype=np.uint32), name="shared")
+        writers = [
+            context.Process(
+                target=_write_repeatedly, args=(path, trace, start, failures)
+            )
+            for _ in range(2)
+        ]
+        for writer in writers:
+            writer.start()
+        for writer in writers:
+            writer.join(timeout=120)
+        assert [writer.exitcode for writer in writers] == [0, 0]
+        assert failures.value == 0
+        assert read_trace(path) == trace
+        assert [p.name for p in tmp_path.iterdir()] == ["shared.rpt"]
 
     @settings(max_examples=25, deadline=None)
     @given(
