@@ -120,7 +120,7 @@ class PoisonUnitError(WorkerCrashError):
 
     A unit that repeatedly crashes or hangs its worker (a segfaulting
     input, an unbounded allocation, an infinite loop) must not respawn
-    workers forever; after ``max_worker_kills`` kill events the unit is
+    workers forever; after ``MAX_WORKER_KILLS`` kill events the unit is
     marked FAILED with this error and a structured ``detail`` record in
     the journal, and the rest of the suite proceeds.
     """

@@ -261,10 +261,11 @@ def _run_suite(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
 
+    # A repeated name runs (and prints) once, in first-seen order.
     names = (
         list(EXPERIMENTS)
         if not args.experiments or "all" in args.experiments
-        else args.experiments
+        else list(dict.fromkeys(args.experiments))
     )
 
     def publish(spec: UnitSpec, result: object, elapsed: float) -> None:

@@ -22,12 +22,11 @@ Dispatch has one path.  Each call forks one private
 :class:`~repro.parallel.pool.WorkerPool` whose workers inherit the unit
 closures, so nothing but task ids is pickled on the way out and results
 come back as plain pickles.  Independent units are packed into batches
-(one queue round-trip each, sized by
-:func:`~repro.parallel.scheduler.plan_batch_size` and the per-unit cost
-model) while the worker still reports start/done/error *per unit* — so
-journal records, cache entries and supervision are per-unit, and a
-poisoned unit quarantines alone while its batch siblings come back as
-``"requeue"`` messages.
+(one queue round-trip each, sized from the unit count by
+:func:`_plan_batch_size`) while the worker still reports
+start/done/error *per unit* — so journal records, cache entries and
+supervision are per-unit, and a poisoned unit quarantines alone while
+its batch siblings come back as ``"requeue"`` messages.
 
 Supervision (on by default, see
 :class:`~repro.parallel.supervisor.SupervisorConfig`) layers four
@@ -35,10 +34,10 @@ behaviors on top:
 
 * a killed worker's in-flight unit is **requeued at the back of the
   dispatch order** (a suspect must not hog every kill opportunity), not
-  failed — until the unit has killed ``max_worker_kills`` workers, when
+  failed — until the unit has killed ``MAX_WORKER_KILLS`` workers, when
   it is quarantined as a :class:`~repro.errors.PoisonUnitError`;
-* hung workers (blown ``unit_deadline``, lost heartbeat, RSS trip)
-  surface as ``"hang"`` messages and are treated like crashes;
+* hung workers (blown ``unit_deadline``, lost heartbeat) surface as
+  ``"hang"`` messages and are treated like crashes;
 * respawns back off exponentially and draw from a bounded budget;
   exhausting it falls back to **degraded-serial** execution in the
   parent (or raises, with ``degraded_ok=False``);
@@ -63,14 +62,20 @@ from repro.errors import (
     PoisonUnitError,
     WorkerCrashError,
 )
-from repro.parallel import scheduler
 from repro.parallel.cache import corrupt_discarded_total
 from repro.parallel.pool import (
     WorkerPool,
     emit_event,
     reconstruct_error,
 )
-from repro.parallel.supervisor import SupervisorConfig, UnitSupervisor
+from repro.parallel.supervisor import (
+    HEARTBEAT_INTERVAL,
+    HEARTBEAT_TIMEOUT,
+    KILL_GRACE,
+    MAX_WORKER_KILLS,
+    SupervisorConfig,
+    UnitSupervisor,
+)
 from repro.robustness.journal import RunJournal
 from repro.robustness.retry import Deadline, RetryPolicy, call_with_retry
 
@@ -85,6 +90,33 @@ _TIMING_KEYS = (
     "result_transfer_s",
     "flush_s",
 )
+
+
+#: Target number of dispatch round-trips per worker for a whole run.
+#: Each round-trip costs roughly a pipe write + wakeup + pipe read
+#: (~1ms of parent/worker ping-pong); packing a run into ~8 batches per
+#: worker makes that overhead a rounding error while still leaving
+#: enough batches for the least-loaded-first scheduler to balance load.
+_DEFAULT_DISPATCHES_PER_WORKER = 8
+
+
+def _plan_batch_size(
+    count: int,
+    workers: int,
+    *,
+    target_per_worker: int = _DEFAULT_DISPATCHES_PER_WORKER,
+) -> int:
+    """How many units to pack per dispatch for ``count`` units.
+
+    Sized so the run makes about ``workers * target_per_worker``
+    dispatches total: small runs (fewer units than dispatch slots) get
+    batch size 1 — batching them would serialize work that could
+    overlap — and only genuinely wide fan-outs amortize the round-trip.
+    """
+    if count <= 0 or workers <= 0:
+        return 1
+    slots = max(1, workers * target_per_worker)
+    return max(1, -(-count // slots))
 
 
 def run_units_parallel(
@@ -105,7 +137,6 @@ def run_units_parallel(
     clock: Callable[[], float],
     sleep: Callable[[float], None],
     supervision: Optional[SupervisorConfig] = None,
-    batch_size: Optional[int] = None,
 ):
     """Parallel twin of the serial loop in ``robustness.executor``.
 
@@ -114,8 +145,6 @@ def run_units_parallel(
     be invoked directly.  ``supervision=None`` means default supervision
     (heartbeats, requeue-then-quarantine, AIMD admission); pass
     ``SupervisorConfig(enabled=False)`` for the bare engine.
-    ``batch_size=None`` sizes batches from the scheduler's cost model;
-    an explicit value forces that many units per dispatch.
     """
     from repro.robustness.executor import (
         STATUS_FAILED,
@@ -125,7 +154,6 @@ def run_units_parallel(
         UnitOutcome,
     )
 
-    scheduler.validate_units(units)
     count = len(units)
     #: Dispatch preference order.  Starts as spec order; a unit whose
     #: worker was killed is *demoted* to the back on requeue, so a
@@ -178,33 +206,15 @@ def run_units_parallel(
         pool_options: Dict[str, Any] = {}
         if supervisor is not None:
             pool_options = dict(
-                heartbeat_interval=config.heartbeat_interval,
-                heartbeat_timeout=config.heartbeat_timeout,
+                heartbeat_interval=HEARTBEAT_INTERVAL,
+                heartbeat_timeout=HEARTBEAT_TIMEOUT,
                 unit_deadline=config.unit_deadline,
-                rss_limit_kb=config.rss_limit_kb,
-                kill_grace=config.kill_grace,
+                kill_grace=KILL_GRACE,
             )
         pool = WorkerPool(
             [make_task(spec) for spec in units], worker_count, **pool_options
         )
-    if batch_size is not None:
-        batch_cap = max(1, int(batch_size))
-        cost_budget: Optional[float] = None
-    else:
-        batch_cap = scheduler.plan_batch_size(runnable, worker_count)
-        cost_budget = (
-            scheduler.plan_batch_budget(
-                [
-                    scheduler.unit_cost(spec)
-                    for index, spec in enumerate(units)
-                    if staged[index] is None
-                ],
-                worker_count,
-            )
-            if batch_cap > 1
-            else None
-        )
-    router = scheduler.AffinityRouter()
+    batch_cap = _plan_batch_size(runnable, worker_count)
     report = SuiteReport()
     # Parent-side discards (cache hits checked in the parent, degraded
     # mode); worker-side ones arrive as "cache_corrupt" events.
@@ -380,7 +390,7 @@ def run_units_parallel(
         the underlying failure.
         """
         kills = supervisor.record_kill(index, reason=reason, error=error_text)
-        if kills < config.max_worker_kills:
+        if kills < MAX_WORKER_KILLS:
             supervisor.requeues += 1
             dispatched[index] = False
             events[index] = []  # the retry notices died with the attempt
@@ -504,26 +514,15 @@ def run_units_parallel(
                 if supervisor is not None and busy >= supervisor.window():
                     break
                 batch: List[int] = []
-                batch_cost = 0.0
                 for index in dispatch_order:
                     if len(batch) >= batch_cap:
                         break
-                    if (
-                        cost_budget is not None
-                        and batch
-                        and batch_cost >= cost_budget
-                    ):
-                        break
                     if staged[index] is not None or dispatched[index]:
-                        continue
-                    spec = units[index]
-                    if router.pick_worker(spec, (worker_id,)) != worker_id:
                         continue
                     batch.append(index)
                     dispatched[index] = True
-                    batch_cost += scheduler.unit_cost(spec)
                 if not batch:
-                    continue
+                    break
                 now = time_module.monotonic()
                 for index in batch:
                     submitted_at[index] = now
@@ -613,7 +612,6 @@ def run_units_parallel(
                         # admission window.
                         supervisor.on_healthy()
                 elif message.kind == "crash":
-                    router.forget_worker(message.worker_id)
                     if index is None or staged[index] is not None:
                         continue
                     error_text = (
@@ -642,7 +640,6 @@ def run_units_parallel(
                 elif message.kind == "hang":
                     # Only supervised pools synthesize hangs; the worker
                     # is already dead (killed by the pool).
-                    router.forget_worker(message.worker_id)
                     if index is not None and staged[index] is None:
                         reason = message.payload["reason"]
                         hang_elapsed = message.payload["elapsed"]

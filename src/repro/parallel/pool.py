@@ -15,7 +15,7 @@ Design decisions, each load-bearing:
   entries and supervision stay per-unit.  A worker that dies mid-batch
   takes down exactly the task it was running — the untouched siblings
   come back as ``"requeue"`` messages, not failures.  Scheduling
-  (affinity, batch packing) lives in the parent, which is what makes
+  (batch packing) lives in the parent, which is what makes
   deterministic journal ordering possible.
 * **One result pipe per worker, written synchronously.**  A pool-wide
   ``multiprocessing.Queue`` shares one feeder lock and one byte stream
@@ -41,10 +41,9 @@ Design decisions, each load-bearing:
   heartbeat thread in every worker and tracks dispatch times in the
   parent; ``poll`` synthesizes a ``"hang"`` message — after killing the
   worker, SIGTERM then SIGKILL past the grace period — when a worker
-  blows its per-unit deadline, stops heartbeating (a GIL-holding C
-  hang, a SIGSTOP, a wedged transport), or trips the optional RSS
-  watchdog.  Workers only beat while running a task, so an idle
-  worker fills no pipe.
+  blows its per-unit deadline or stops heartbeating (a GIL-holding C
+  hang, a SIGSTOP, a wedged transport).  Workers only beat while
+  running a task, so an idle worker fills no pipe.
 """
 
 from __future__ import annotations
@@ -131,7 +130,7 @@ def resolve_jobs(jobs: Optional[int]) -> int:
 #: A pool message: kind is "start" | "done" | "error" | "event" |
 #: "bye" | "crash" | "hang" | "requeue".  ``payload`` is kind-specific
 #: (see ``_worker_main``; for "hang" it is a dict with ``reason`` —
-#: ``"deadline"``/``"heartbeat"``/``"rss"`` — and ``elapsed`` seconds;
+#: ``"deadline"`` or ``"heartbeat"`` — and ``elapsed`` seconds;
 #: for "done" it is ``(blob, elapsed, meta)`` where ``blob`` is the
 #: pickled result and ``meta`` carries worker-side timestamps).  A
 #: "requeue" message names a task that was pending in a dead/killed
@@ -355,16 +354,6 @@ class _WorkerHandle:
         return self.pending[0] if self.pending else None
 
 
-def _process_rss_kb(pid: int) -> Optional[int]:
-    """Resident set size of ``pid`` in KB via /proc, or None off-Linux."""
-    try:
-        with open(f"/proc/{pid}/statm", "rb") as stream:
-            pages = int(stream.read().split()[1])
-        return pages * (os.sysconf("SC_PAGE_SIZE") // 1024)
-    except (OSError, ValueError, IndexError):
-        return None
-
-
 class WorkerPool:
     """A fixed-size pool of forked workers; see the module docstring.
 
@@ -378,8 +367,6 @@ class WorkerPool:
     * ``unit_deadline`` — hard per-task wall clock; a worker still
       running one task past it is killed and the task surfaces as a
       ``"hang"`` message.
-    * ``rss_limit_kb`` — RSS watchdog; a worker whose resident set
-      exceeds this while running a task is killed the same way.
     * ``kill_grace`` — seconds between SIGTERM and SIGKILL in
       :meth:`kill`.
     """
@@ -392,7 +379,6 @@ class WorkerPool:
         heartbeat_interval: Optional[float] = None,
         heartbeat_timeout: Optional[float] = None,
         unit_deadline: Optional[float] = None,
-        rss_limit_kb: Optional[int] = None,
         kill_grace: float = 1.0,
     ) -> None:
         if in_worker():
@@ -416,9 +402,7 @@ class WorkerPool:
             heartbeat_timeout = 6.0 * heartbeat_interval
         self._heartbeat_timeout = heartbeat_timeout
         self._unit_deadline = unit_deadline
-        self._rss_limit_kb = rss_limit_kb
         self._kill_grace = kill_grace
-        self._last_rss_check = 0.0
         self._context = multiprocessing.get_context("fork")
         self._workers: Dict[int, _WorkerHandle] = {}
         self._deferred: List[Message] = []
@@ -429,6 +413,10 @@ class WorkerPool:
     def _spawn(self, worker_id: int) -> None:
         old = self._workers.get(worker_id)
         if old is not None:
+            if not (old.reported_dead or old.said_bye or old.sentinel_sent):
+                # Died since the last poll: report the death now, or the
+                # tasks it held would vanish with its handle.
+                self._deferred.extend(self._report_death(old))
             # Replacing a dead worker: drain and close its channel so
             # no leftover report is read under the new worker's id.
             self._retire_channel(old)
@@ -467,7 +455,11 @@ class WorkerPool:
         )
 
     def respawn(self, worker_id: int) -> None:
-        """Replace a dead worker so remaining work can still be absorbed."""
+        """Replace a dead worker so remaining work can still be absorbed.
+
+        A death no :meth:`poll` has reported yet is reported by the next
+        one (crash plus requeues), so the tasks it held are not lost.
+        """
         handle = self._workers[worker_id]
         if handle.process.is_alive():
             raise ParallelError(f"worker {worker_id} is alive; not respawning")
@@ -667,17 +659,40 @@ class WorkerPool:
         elif message.kind == "bye":
             handle.said_bye = True
 
+    def _report_death(self, handle: _WorkerHandle) -> List[Message]:
+        """A dead worker's last reports, then its crash and requeues."""
+        messages: List[Message] = []
+        # Read the dead worker's final reports *before* judging what the
+        # death orphaned: sends are synchronous, so a "done" that
+        # finished sending is still in the pipe and must not be charged
+        # as the crash victim.
+        for item in self._drain_receiver(handle):
+            self._account(item, messages)
+        handle.reported_dead = True
+        task_id, siblings = handle.victim_and_siblings()
+        handle.current = None
+        handle.pending = []
+        handle.dispatched_at = None
+        handle.unit_started_at = None
+        messages.append(
+            Message("crash", handle.worker_id, task_id, handle.process.exitcode)
+        )
+        messages.extend(
+            Message("requeue", handle.worker_id, sibling, None)
+            for sibling in siblings
+        )
+        return messages
+
     def poll(self, timeout: float = 0.1) -> List[Message]:
         """Drain pending messages, then synthesize crashes and hangs.
 
         Heartbeat messages are consumed here (they refresh the sender's
         liveness clock) and never returned.  A worker with a task in
-        flight that blows the per-unit deadline, goes silent past the
-        heartbeat timeout, or trips the RSS watchdog is killed via
-        :meth:`kill` and reported as a ``"hang"`` message whose payload
-        carries the reason and elapsed seconds.  Batch siblings of dead
-        or killed workers surface as ``"requeue"`` messages after the
-        crash/hang that stranded them.
+        flight that blows the per-unit deadline or goes silent past the
+        heartbeat timeout is killed via :meth:`kill` and reported as a
+        ``"hang"`` message whose payload carries the reason and elapsed
+        seconds.  Batch siblings of dead or killed workers surface as
+        ``"requeue"`` messages after the crash/hang that stranded them.
         """
         messages: List[Message] = []
         for item in self._read_available(timeout):
@@ -689,30 +704,7 @@ class WorkerPool:
                 and not handle.sentinel_sent
                 and not handle.process.is_alive()
             ):
-                # Read the dead worker's final reports *before* judging
-                # what the death orphaned: sends are synchronous, so a
-                # "done" that finished sending is still in the pipe and
-                # must not be charged as the crash victim.
-                for item in self._drain_receiver(handle):
-                    self._account(item, messages)
-                handle.reported_dead = True
-                task_id, siblings = handle.victim_and_siblings()
-                handle.current = None
-                handle.pending = []
-                handle.dispatched_at = None
-                handle.unit_started_at = None
-                messages.append(
-                    Message(
-                        "crash",
-                        handle.worker_id,
-                        task_id,
-                        handle.process.exitcode,
-                    )
-                )
-                messages.extend(
-                    Message("requeue", handle.worker_id, sibling, None)
-                    for sibling in siblings
-                )
+                messages.extend(self._report_death(handle))
         messages.extend(self._detect_hangs())
         if self._deferred:
             messages.extend(self._deferred)
@@ -721,19 +713,9 @@ class WorkerPool:
 
     def _detect_hangs(self) -> List[Message]:
         """Kill and report workers that look hung (supervised pools only)."""
-        if (
-            self._unit_deadline is None
-            and self._heartbeat_timeout is None
-            and self._rss_limit_kb is None
-        ):
+        if self._unit_deadline is None and self._heartbeat_timeout is None:
             return []
         now = time.monotonic()
-        check_rss = False
-        if self._rss_limit_kb is not None and (
-            now - self._last_rss_check >= 0.5
-        ):
-            self._last_rss_check = now
-            check_rss = True
         hangs: List[Message] = []
         for handle in list(self._workers.values()):
             if not handle.usable or not handle.busy:
@@ -756,10 +738,6 @@ class WorkerPool:
                 and now - handle.last_beat > self._heartbeat_timeout
             ):
                 reason = "heartbeat"
-            elif check_rss:
-                rss = _process_rss_kb(handle.process.pid)
-                if rss is not None and rss > self._rss_limit_kb:
-                    reason = "rss"
             if reason is None:
                 continue
             task_id = self.kill(handle.worker_id)

@@ -5,14 +5,14 @@ detection, ``kill``/``respawn`` — and this module supplies the *policy*
 that :func:`repro.parallel.engine.run_units_parallel` drives:
 
 * **Kill accounting and quarantine.**  Every worker kill (crash, blown
-  deadline, lost heartbeat, RSS trip) is charged to the unit that was in
-  flight.  The unit is requeued until it has killed
-  ``max_worker_kills`` workers, at which point it is *poisoned*: marked
-  FAILED with a :class:`repro.errors.PoisonUnitError` and a structured
-  ``detail`` record in the journal, so a segfaulting input cannot
-  crash-loop the pool forever.
+  deadline, lost heartbeat) is charged to the unit that was in flight.
+  The unit is requeued until it has killed ``MAX_WORKER_KILLS``
+  workers, at which point it is *poisoned*: marked FAILED with a
+  :class:`repro.errors.PoisonUnitError` and a structured ``detail``
+  record in the journal, so a segfaulting input cannot crash-loop the
+  pool forever.
 * **Exponential-backoff respawn.**  Consecutive kills double the delay
-  before the next respawn (``backoff_base`` up to ``backoff_max``);
+  before the next respawn (``BACKOFF_BASE`` up to ``BACKOFF_MAX``);
   a healthy completion resets it.  A bounded respawn budget converts
   "workers keep dying" into either a clean error or degraded-serial
   fallback instead of a fork bomb.
@@ -22,8 +22,9 @@ that :func:`repro.parallel.engine.run_units_parallel` drives:
   below 1 and never above the worker count.  A pool under memory or
   scheduling pressure sheds load instead of amplifying it.
 
-The dataclass :class:`SupervisorConfig` is the single knob surface; the
-engine treats ``supervision=None`` as "default supervision on" and
+The dataclass :class:`SupervisorConfig` holds the four knobs callers
+set; the policy numbers are module constants.  The engine treats
+``supervision=None`` as "default supervision on" and
 ``SupervisorConfig(enabled=False)`` as the old unsupervised behavior.
 """
 
@@ -37,57 +38,45 @@ from repro.errors import ParallelError
 __all__ = ["AIMDController", "SupervisorConfig", "UnitSupervisor"]
 
 
+#: Worker heartbeat cadence in seconds.
+HEARTBEAT_INTERVAL = 0.5
+#: Silence longer than this is a hang (6x the interval).
+HEARTBEAT_TIMEOUT = 6.0 * HEARTBEAT_INTERVAL
+#: Seconds between SIGTERM and SIGKILL when putting a worker down.
+KILL_GRACE = 1.0
+#: Worker kills a single unit may cause before quarantine.
+MAX_WORKER_KILLS = 3
+#: Respawn backoff: doubles per consecutive kill from the base, capped.
+BACKOFF_BASE = 0.1
+BACKOFF_MAX = 2.0
+#: AIMD admission: +add per healthy completion, *mult per breach.
+AIMD_ADD = 1.0
+AIMD_MULT = 0.5
+
+
 @dataclass(frozen=True)
 class SupervisorConfig:
-    """Tuning knobs for supervised parallel execution.
+    """The knobs callers set on supervised parallel execution.
 
-    The defaults are deliberately conservative: heartbeats every half
-    second, hang declared only via deadline/heartbeat-timeout (no RSS
-    cap), three worker kills before quarantine, and degraded-serial
-    fallback allowed.  ``enabled=False`` restores the pre-supervision
-    engine exactly (no heartbeat thread, crash == immediate failure).
+    The timing and policy numbers (heartbeat cadence, kill grace, kill
+    allowance, backoff, AIMD factors) are the module constants above.
+    ``enabled=False`` restores the pre-supervision engine exactly (no
+    heartbeat thread, crash == immediate failure).
     """
 
     enabled: bool = True
-    #: Worker heartbeat cadence; ``None`` disables the beat thread.
-    heartbeat_interval: Optional[float] = 0.5
-    #: Silence longer than this is a hang; ``None`` = 6x the interval.
-    heartbeat_timeout: Optional[float] = None
     #: Hard per-unit wall clock enforced by the parent; ``None`` = off.
     unit_deadline: Optional[float] = None
-    #: Per-worker resident-set cap in KB; ``None`` = off.
-    rss_limit_kb: Optional[int] = None
-    #: Seconds between SIGTERM and SIGKILL when putting a worker down.
-    kill_grace: float = 1.0
-    #: Worker kills a single unit may cause before quarantine.
-    max_worker_kills: int = 3
-    #: Total respawn budget; ``None`` = units*max_worker_kills + jobs.
+    #: Total respawn budget; ``None`` = units*MAX_WORKER_KILLS + jobs.
     max_respawns: Optional[int] = None
-    backoff_base: float = 0.1
-    backoff_max: float = 2.0
     #: Fall back to in-parent serial execution when the pool cannot be
     #: kept healthy (respawn budget exhausted); otherwise raise.
     degraded_ok: bool = True
-    #: AIMD admission: +add per healthy completion, *mult per breach.
-    aimd_add: float = 1.0
-    aimd_mult: float = 0.5
 
     def validate(self) -> None:
-        if self.max_worker_kills < 1:
-            raise ParallelError(
-                f"max_worker_kills must be >= 1, got {self.max_worker_kills}"
-            )
         if self.max_respawns is not None and self.max_respawns < 0:
             raise ParallelError(
                 f"max_respawns must be >= 0, got {self.max_respawns}"
-            )
-        if not 0.0 < self.aimd_mult < 1.0:
-            raise ParallelError(
-                f"aimd_mult must be in (0, 1), got {self.aimd_mult}"
-            )
-        if self.aimd_add <= 0.0:
-            raise ParallelError(
-                f"aimd_add must be positive, got {self.aimd_add}"
             )
 
 
@@ -146,23 +135,21 @@ class UnitSupervisor:
 
     The engine reports events (:meth:`record_kill`, :meth:`on_healthy`)
     and asks questions (:meth:`poisoned`, :meth:`window`,
-    :meth:`consume_respawn`, :meth:`backoff_delay`); all policy numbers
-    live in the :class:`SupervisorConfig`.
+    :meth:`consume_respawn`, :meth:`backoff_delay`).
     """
 
     def __init__(self, config: SupervisorConfig, *, jobs: int, count: int):
         config.validate()
-        self.config = config
         self.jobs = jobs
         self._units: Dict[int, _UnitHealth] = {}
         self._consecutive_kills = 0
         self._respawns_left = (
             config.max_respawns
             if config.max_respawns is not None
-            else count * config.max_worker_kills + jobs
+            else count * MAX_WORKER_KILLS + jobs
         )
         self._aimd = AIMDController(
-            base=jobs, cap=jobs, add=config.aimd_add, mult=config.aimd_mult
+            base=jobs, cap=jobs, add=AIMD_ADD, mult=AIMD_MULT
         )
         # Totals for the suite report.
         self.crashes = 0
@@ -196,7 +183,7 @@ class UnitSupervisor:
         health = self._units.get(index)
         return (
             health is not None
-            and health.kills >= self.config.max_worker_kills
+            and health.kills >= MAX_WORKER_KILLS
         )
 
     def poison_detail(self, index: int) -> Dict[str, object]:
@@ -229,10 +216,7 @@ class UnitSupervisor:
         if self._consecutive_kills <= 1:
             return 0.0
         exponent = self._consecutive_kills - 2
-        return min(
-            self.config.backoff_max,
-            self.config.backoff_base * (2.0**exponent),
-        )
+        return min(BACKOFF_MAX, BACKOFF_BASE * (2.0**exponent))
 
     # -- admission ------------------------------------------------------
 

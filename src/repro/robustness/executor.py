@@ -28,7 +28,7 @@ from typing import (
     Type,
 )
 
-from repro.errors import DeadlineExceededError
+from repro.errors import DeadlineExceededError, ParallelError
 from repro.parallel.supervisor import SupervisorConfig
 from repro.robustness.journal import RunJournal
 from repro.robustness.retry import Deadline, RetryPolicy, call_with_retry
@@ -43,20 +43,25 @@ class UnitSpec:
     """One schedulable unit of work: a name and a zero-argument callable.
 
     Units are independent: each runs (or fails) on its own, and results
-    are published in list order.  ``affinity`` is an opaque grouping key
-    for parallel runs — units sharing a key run in the same worker
-    process, so worker-local state (a warmed stack pass) is actually
-    reused; it is moot in serial runs.
-
-    ``cost`` is an optional relative size estimate (e.g. estimated
-    references x geometry count) steering parallel batch packing; it
-    never affects correctness, only how units are grouped per dispatch.
+    are published in list order.  Names must be unique within a run
+    (see :func:`validate_units`).
     """
 
     name: str
     run: Callable[[], Any]
-    affinity: Optional[str] = None
-    cost: Optional[float] = None
+
+
+def validate_units(units: Sequence[UnitSpec]) -> None:
+    """Reject a unit list with a repeated name.
+
+    Raises :class:`~repro.errors.ParallelError` on a duplicate: the
+    journal, the timing breakdown and the report are all keyed by name.
+    """
+    seen = set()
+    for spec in units:
+        if spec.name in seen:
+            raise ParallelError(f"duplicate unit name {spec.name!r}")
+        seen.add(spec.name)
 
 
 @dataclass(frozen=True)
@@ -184,9 +189,11 @@ def run_units(
     sleep: Callable[[float], None] = time.sleep,
     jobs: Optional[int] = None,
     supervision: Optional[SupervisorConfig] = None,
-    batch_size: Optional[int] = None,
 ) -> SuiteReport:
     """Run every unit, isolating failures; never raises for a unit's error.
+
+    A repeated unit name raises :class:`~repro.errors.ParallelError`
+    before any unit runs, serially and in parallel alike.
 
     ``on_success`` (publishing: rendering, writing result files) runs
     *before* the unit is journaled as complete, and inside the same
@@ -214,6 +221,7 @@ def run_units(
     from repro.parallel.cache import corrupt_discarded_total
     from repro.parallel.pool import resolve_jobs
 
+    validate_units(units)
     worker_count = resolve_jobs(jobs)
     corrupt_before = corrupt_discarded_total()
     if worker_count > 1 and len(units) > 1:
@@ -236,12 +244,7 @@ def run_units(
             clock=clock,
             sleep=sleep,
             supervision=supervision,
-            batch_size=batch_size,
         )
-    if any(spec.affinity is not None for spec in units):
-        from repro.parallel.scheduler import validate_units
-
-        validate_units(units)
 
     report = SuiteReport()
     for spec in units:
@@ -373,4 +376,5 @@ __all__ = [
     "UnitOutcome",
     "UnitSpec",
     "run_units",
+    "validate_units",
 ]

@@ -230,7 +230,7 @@ class ChaosPlan:
     strikes on its first ``times`` *attempts*, counted across processes
     through ``token_dir`` (one ``O_CREAT|O_EXCL`` token per strike) —
     so with ``times=1`` the requeued attempt succeeds, and with
-    ``times >= max_worker_kills`` the unit proves quarantine.
+    ``times >= MAX_WORKER_KILLS`` the unit proves quarantine.
 
     Strikes are a no-op outside a pool worker: a degraded-serial
     fallback or a serial equivalence run executes the same wrapped

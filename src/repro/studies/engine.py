@@ -478,12 +478,7 @@ def run_study(
                     cache.put(_unit.run_id, payload)
                 return payload
 
-            return UnitSpec(
-                name=unit.label,
-                run=run,
-                affinity=unit.workload,
-                cost=float(len(trace)),
-            )
+            return UnitSpec(name=unit.label, run=run)
 
         by_label = {unit.label: unit for unit in pending}
         report = run_units(

@@ -119,26 +119,25 @@ class TestPoisonQuarantine:
         # With batched dispatch a crashing unit takes down a worker that
         # holds its batch siblings too.  The siblings were never *run*,
         # so they are requeued without being charged a kill — only the
-        # actual poison unit is quarantined.
+        # actual poison unit is quarantined.  33 units on two workers go
+        # out three to a batch, so the first batch is u0, u1, u2.
         plan = faultinject.ChaosPlan(
             tmp_path / "tokens", victims={"u1": ("kill", 8)}
         )
         journal = RunJournal(tmp_path / "b.jsonl", fingerprint={"s": 1})
-        report = run_units(
-            _units(plan, count=8), journal=journal, jobs=2, batch_size=4
-        )
+        report = run_units(_units(plan, count=33), journal=journal, jobs=2)
         assert report.exit_code == 1
         statuses = {o.name: o.status for o in report.outcomes}
         assert statuses == {
             f"u{index}": ("failed" if index == 1 else "ok")
-            for index in range(8)
+            for index in range(33)
         }
         assert report.supervision["poisoned"] == ["u1"]
         assert plan.strikes_delivered() == 3
         # At least one batch sibling rode along on a killed worker and
         # came back requeued-not-killed; every survivor finished clean.
         assert report.supervision["sibling_requeues"] >= 1
-        for index in (0, 2, 3, 4, 5, 6, 7):
+        for index in (i for i in range(33) if i != 1):
             record = journal.get(f"u{index}")
             assert record.succeeded
             assert record.payload is None or "poison" not in (

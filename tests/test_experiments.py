@@ -257,3 +257,14 @@ class TestHeadlineAndRunner:
         assert code == 0
         output = capsys.readouterr().out
         assert "Table 3.1" in output
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_repeated_experiment_runs_once(self, capsys, jobs):
+        code = main(
+            ["walkcost", "walkcost", "--trace-length", "1000", "--window",
+             "100", "--no-cache", "--jobs", jobs]
+        )
+        assert code == 0
+        output = capsys.readouterr().out
+        assert output.count("Ablation: walk-derived penalty") == 1
+        assert output.count("[walkcost: ") == 1

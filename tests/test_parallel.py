@@ -18,16 +18,14 @@ import pytest
 
 from repro.errors import ParallelError
 from repro.experiments.scale import map_workloads
+from repro.parallel.engine import _plan_batch_size
 from repro.parallel.pool import (
+    WorkerPool,
     fork_available,
     in_worker,
     resolve_jobs,
 )
-from repro.parallel.scheduler import (
-    AffinityRouter,
-    validate_units,
-)
-from repro.robustness.executor import UnitSpec, run_units
+from repro.robustness.executor import UnitSpec, run_units, validate_units
 from repro.robustness.journal import RunJournal
 from repro.robustness.retry import RetryPolicy
 from repro.sim.config import TLBConfig
@@ -40,9 +38,9 @@ pytestmark = [
 ]
 
 
-def _spec(name, value, affinity=None):
+def _spec(name, value):
     """A deterministic unit: squares its value (picklable result)."""
-    return UnitSpec(name=name, run=lambda v=value: v * v, affinity=affinity)
+    return UnitSpec(name=name, run=lambda v=value: v * v)
 
 
 def _journal_units(path):
@@ -60,18 +58,6 @@ class TestScheduler:
     def test_duplicate_names_rejected(self):
         with pytest.raises(ParallelError, match="duplicate"):
             validate_units([_spec("a", 1), _spec("a", 2)])
-
-    def test_affinity_router_is_sticky(self):
-        router = AffinityRouter()
-        grouped = _spec("a", 1, affinity="g")
-        assert router.pick_worker(grouped, [2, 0, 1]) == 2
-        # Bound worker busy: the unit waits even though others are idle.
-        assert router.pick_worker(_spec("b", 2, affinity="g"), [0, 1]) is None
-        assert router.pick_worker(_spec("c", 3, affinity="g"), [1, 2]) == 2
-        # No affinity: least-loaded idle worker, no waiting.
-        assert router.pick_worker(_spec("d", 4), [0, 1]) == 0
-        router.forget_worker(2)
-        assert router.pick_worker(_spec("e", 5, affinity="g"), [1]) == 1
 
 
 class TestPool:
@@ -123,7 +109,7 @@ class TestMapWorkloads:
 
 
 class TestRunUnitsEquivalence:
-    def _run(self, tmp_path, tag, jobs, fail=(), flaky=(), batch_size=None):
+    def _run(self, tmp_path, tag, jobs, fail=(), flaky=(), count=5):
         published = []
         outdir = tmp_path / tag
         outdir.mkdir()
@@ -140,7 +126,7 @@ class TestRunUnitsEquivalence:
 
             return UnitSpec(name=name, run=task)
 
-        units = [make(f"u{i}", i) for i in range(5)]
+        units = [make(f"u{i}", i) for i in range(count)]
 
         def publish(spec, result, elapsed):
             published.append((spec.name, result))
@@ -154,7 +140,6 @@ class TestRunUnitsEquivalence:
             on_success=publish,
             journal_payload=lambda spec, result: {"value": result},
             jobs=jobs,
-            batch_size=batch_size,
         )
         files = {
             path.name: path.read_text() for path in sorted(outdir.iterdir())
@@ -189,11 +174,13 @@ class TestRunUnitsEquivalence:
         # Batching is a dispatch optimization, never a semantic one: any
         # (batch size, worker count) cell must be byte-identical to the
         # serial run — published order, files, journal order, statuses.
-        serial = self._run(tmp_path, "serial", None, flaky={"u2"})
+        # Batches are sized from the unit count, so the cell picks it.
+        count = batch * jobs * 8
+        if jobs > 1:
+            assert _plan_batch_size(count, jobs) == batch
+        serial = self._run(tmp_path, "serial", None, flaky={"u2"}, count=count)
         tag = f"j{jobs}b{batch}"
-        batched = self._run(
-            tmp_path, tag, jobs, flaky={"u2"}, batch_size=batch
-        )
+        batched = self._run(tmp_path, tag, jobs, flaky={"u2"}, count=count)
         assert batched[1] == serial[1]
         assert batched[2] == serial[2]
         assert _journal_units(tmp_path / f"{tag}.jsonl") == _journal_units(
@@ -215,15 +202,6 @@ class TestRunUnitsEquivalence:
         assert [name for name, _ in published] == ["u0", "u2", "u3", "u4"]
         record = journal.get("u1")
         assert not record.succeeded and "exploded" in record.error
-
-    def test_affinity_groups_share_a_worker(self):
-        units = [
-            UnitSpec(name=f"g{i}", run=os.getpid, affinity="same")
-            for i in range(4)
-        ]
-        report = run_units(units, jobs=2)
-        pids = {outcome.result for outcome in report.outcomes}
-        assert len(pids) == 1 and os.getpid() not in pids
 
 
 class TestWorkerCrash:
@@ -252,11 +230,28 @@ class TestWorkerCrash:
         # The crash is journaled like any other failure.
         assert not journal.get("doomed").succeeded
 
+    def test_death_respawned_before_poll_is_still_reported(self):
+        # A worker can die after one poll and be respawned before the
+        # next; its crash and its unstarted batch sibling must still
+        # surface, or the engine waits forever on tasks nobody holds.
+        pool = WorkerPool([lambda: os._exit(7), lambda: 1], 1)
+        try:
+            pool.submit_batch(0, [0, 1])
+            pool._workers[0].process.join(10.0)
+            assert not pool._workers[0].process.is_alive()
+            pool.respawn(0)
+            reported = {(m.kind, m.task_id) for m in pool.poll(0.0)}
+            assert ("crash", 0) in reported
+            assert ("requeue", 1) in reported
+        finally:
+            pool.terminate()
+
 
 class TestBatchedDispatch:
     def test_batch_interior_failure_isolated(self, tmp_path):
         # One bad unit inside a 4-unit batch fails alone; its batch
-        # siblings complete normally on the same dispatch.
+        # siblings complete normally on the same dispatch.  64 units on
+        # two workers go out four to a batch.
         def make(name, value, broken=False):
             def task(v=value, b=broken):
                 if b:
@@ -265,24 +260,24 @@ class TestBatchedDispatch:
 
             return UnitSpec(name=name, run=task)
 
-        units = [make(f"u{i}", i, broken=(i == 1)) for i in range(8)]
+        assert _plan_batch_size(64, 2) == 4
+        units = [make(f"u{i}", i, broken=(i == 1)) for i in range(64)]
         report = run_units(
             units,
             retry_policy=RetryPolicy(max_attempts=1, base_delay=0.0),
             jobs=2,
-            batch_size=4,
         )
         assert report.exit_code == 1
         statuses = {o.name: o.status for o in report.outcomes}
         assert statuses == {
-            f"u{i}": ("failed" if i == 1 else "ok") for i in range(8)
+            f"u{i}": ("failed" if i == 1 else "ok") for i in range(64)
         }
         failed = next(o for o in report.outcomes if o.name == "u1")
         assert "mid-batch failure" in failed.error
 
     def test_timing_breakdown_present(self, tmp_path):
         units = [_spec(f"t{i}", i) for i in range(4)]
-        report = run_units(units, jobs=2, batch_size=2)
+        report = run_units(units, jobs=2)
         assert report.ok
         assert report.timing is not None
         per_unit = report.timing["units"]

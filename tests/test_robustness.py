@@ -15,6 +15,7 @@ from repro.errors import (
     ConfigurationError,
     DeadlineExceededError,
     JournalError,
+    ParallelError,
 )
 from repro.experiments import runner
 from repro.robustness import faultinject
@@ -364,6 +365,16 @@ class TestExecutor:
         report = run_units([])
         assert isinstance(report, SuiteReport)
         assert report.ok and report.exit_code == 0
+
+    def test_duplicate_unit_names_rejected(self):
+        ran = []
+        units = [
+            UnitSpec("a", lambda: ran.append("first")),
+            UnitSpec("a", lambda: ran.append("second")),
+        ]
+        with pytest.raises(ParallelError, match="duplicate unit name 'a'"):
+            run_units(units)
+        assert ran == []  # rejected before anything runs
 
 
 class TestSweepJournal:
