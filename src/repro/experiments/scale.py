@@ -10,9 +10,9 @@ within the paper's T = 10M..50M of 1-3G range.
 Every experiment takes an :class:`ExperimentScale`; the benchmark
 harness uses :func:`default_scale`, tests use :func:`smoke_scale`.
 ``REPRO_TRACE_LENGTH`` / ``REPRO_WINDOW`` environment variables override
-the defaults for users with more patience; ``REPRO_JOBS`` spreads
-per-workload measurement across worker processes and ``REPRO_CACHE=0``
-disables the content-addressed simulation result cache.
+the defaults for users with more patience; ``REPRO_JOBS`` sets
+:attr:`ExperimentScale.jobs` and ``REPRO_CACHE=0`` disables the
+content-addressed simulation result cache.
 """
 
 from __future__ import annotations
@@ -39,9 +39,12 @@ class ExperimentScale:
         window: working-set window T (promotion policy and WS metrics).
         seed: workload generator seed.
         use_cache: cache generated traces on disk between runs.
-        jobs: worker processes for per-workload measurement (None or 1
-            = serial; 0 = one per CPU).  Results are identical at any
-            job count — parallelism only reorders the computation.
+        jobs: worker processes (None or 1 = serial; 0 = one per
+            CPU).  The suite runner spreads whole experiments across
+            them; an experiment running in the parent (run alone, or
+            called directly) spreads its per-workload measurements
+            instead.  Parallelism never nests, and results are
+            identical at any job count.
         use_result_cache: consult the content-addressed simulation
             result cache (:mod:`repro.parallel.cache`).  Also requires
             ``REPRO_CACHE`` to not be disabled in the environment.

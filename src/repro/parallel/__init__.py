@@ -20,9 +20,10 @@ than replace it:
 The engine (:mod:`repro.parallel.engine`) ties them together behind
 ``run_units(..., jobs=N)``, the one way work leaves the parent process:
 each call forks one pool for its own units and packs them into
-count-sized batches.  The parent keeps sole ownership of the journal
-and of every publish callback, so checkpoint/resume and failure
-isolation behave exactly as in the serial path.
+count-sized batches.  The engine only runs units; the executor's single
+stage-and-flush loop keeps sole ownership of the journal and of every
+publish callback, so checkpoint/resume and failure isolation are the
+serial path's own.
 """
 
 from repro.parallel.cache import SimulationCache, canonical_key

@@ -1,9 +1,11 @@
-"""The parallel experiment engine behind ``run_units(..., jobs=N)``.
+"""The worker pool behind ``run_units(..., jobs=N)``.
 
-Workers execute units; the **parent does everything else** — journaling,
-publishing, retry announcements, failure reports.  Outcomes are staged
-as workers finish (any order) but *flushed* strictly as a contiguous
-prefix of the original spec order, so:
+:func:`repro.robustness.executor.run_units` owns the one loop that
+stages finished units and flushes them — publish, journal, report — as
+a contiguous prefix of spec order.  :class:`PoolEngine` is what that
+loop calls while a forked pool is running its units: workers execute
+units; the **parent does everything else**.  Outcomes are staged as
+workers finish (any order), and because flushing stays in the loop:
 
 * the journal's unit records appear in the same deterministic order a
   serial run would write them, and a ``--resume`` after a crash under
@@ -39,8 +41,9 @@ behaviors on top:
 * hung workers (blown ``unit_deadline``, lost heartbeat) surface as
   ``"hang"`` messages and are treated like crashes;
 * respawns back off exponentially and draw from a bounded budget;
-  exhausting it falls back to **degraded-serial** execution in the
-  parent (or raises, with ``degraded_ok=False``);
+  exhausting it terminates the pool, and the loop finishes the suite
+  **degraded-serial** in the parent, exactly as a serial run would
+  (or raises, with ``degraded_ok=False``);
 * an AIMD window throttles how many workers hold batches at once.
 
 Every unit that runs gets a timing breakdown (``dispatch_s`` /
@@ -51,23 +54,13 @@ the report alone.
 
 from __future__ import annotations
 
+import functools
 import pickle
 import time as time_module
-import traceback as traceback_module
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Type
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.errors import (
-    DeadlineExceededError,
-    ParallelError,
-    PoisonUnitError,
-    WorkerCrashError,
-)
-from repro.parallel.cache import corrupt_discarded_total
-from repro.parallel.pool import (
-    WorkerPool,
-    emit_event,
-    reconstruct_error,
-)
+from repro.errors import ParallelError, PoisonUnitError, WorkerCrashError
+from repro.parallel.pool import WorkerPool, emit_event, reconstruct_error
 from repro.parallel.supervisor import (
     HEARTBEAT_INTERVAL,
     HEARTBEAT_TIMEOUT,
@@ -76,8 +69,13 @@ from repro.parallel.supervisor import (
     SupervisorConfig,
     UnitSupervisor,
 )
-from repro.robustness.journal import RunJournal
-from repro.robustness.retry import Deadline, RetryPolicy, call_with_retry
+from repro.robustness.executor import (
+    STATUS_OK,
+    StagedOutcome,
+    UnitOutcome,
+    UnitSpec,
+    failed_stage,
+)
 
 #: How long one poll waits for worker messages before rechecking state.
 _POLL_SECONDS = 0.05
@@ -119,269 +117,132 @@ def _plan_batch_size(
     return max(1, -(-count // slots))
 
 
-def run_units_parallel(
-    units: Sequence,
-    *,
-    jobs: int,
-    journal: Optional[RunJournal],
-    resume: bool,
-    retry_policy: RetryPolicy,
-    deadline_seconds: Optional[float],
-    fail_fast: bool,
-    retriable: Tuple[Type[BaseException], ...],
-    on_success: Optional[Callable],
-    on_skip: Optional[Callable],
-    on_failure: Optional[Callable],
-    on_retry: Optional[Callable],
-    journal_payload: Optional[Callable],
-    clock: Callable[[], float],
-    sleep: Callable[[float], None],
-    supervision: Optional[SupervisorConfig] = None,
-):
-    """Parallel twin of the serial loop in ``robustness.executor``.
+def _announce_retry(attempt: int, error: BaseException, delay: float) -> None:
+    """Worker side: ship one retry notice home, to be announced at flush."""
+    emit_event(("retry", attempt, type(error).__name__, str(error), delay))
 
-    Same report, same journal contents, same callback order — only the
-    wall clock differs.  Called via ``run_units(jobs=N)``; not meant to
-    be invoked directly.  ``supervision=None`` means default supervision
+
+class PoolEngine:
+    """The worker pool behind ``run_units(jobs=N)``.
+
+    ``run_units`` owns the one stage/flush loop; while a unit it needs
+    next is unstaged and :attr:`pool` is alive, it calls :meth:`step`,
+    which dispatches batches, reads worker messages, stages finished
+    units into the shared ``staged`` list and supervises the pool.  When
+    the pool cannot be kept alive (and ``degraded_ok``), :meth:`step`
+    terminates it and sets :attr:`pool` to ``None``: the loop then runs
+    the rest in-process.  ``supervision=None`` means default supervision
     (heartbeats, requeue-then-quarantine, AIMD admission); pass
     ``SupervisorConfig(enabled=False)`` for the bare engine.
     """
-    from repro.robustness.executor import (
-        STATUS_FAILED,
-        STATUS_OK,
-        STATUS_SKIPPED,
-        SuiteReport,
-        UnitOutcome,
-    )
 
-    count = len(units)
-    #: Dispatch preference order.  Starts as spec order; a unit whose
-    #: worker was killed is *demoted* to the back on requeue, so a
-    #: suspected-poison unit cannot hog every kill opportunity (burning
-    #: the whole respawn budget, and its own quarantine allowance,
-    #: while innocent units starve behind it).
-    dispatch_order = list(range(count))
-
-    #: Per-unit staged outcome, filled as units finish, flushed in
-    #: spec order.  Kinds: "skip" | "ok" | "fail".
-    staged: List[Optional[Dict[str, Any]]] = [None] * count
-    dispatched = [False] * count
-    events: List[List[Tuple]] = [[] for _ in range(count)]
-
-    for index, spec in enumerate(units):
-        if resume and journal is not None and journal.completed(spec.name):
-            staged[index] = {"kind": "skip"}
-
-    def make_task(spec):
-        def task():
-            deadline = Deadline(deadline_seconds, clock=clock)
-
-            def notify(attempt, error, delay):
-                emit_event(
-                    ("retry", attempt, type(error).__name__, str(error), delay)
-                )
-
-            return call_with_retry(
-                spec.run,
-                policy=retry_policy,
-                deadline=deadline,
-                retriable=retriable,
-                on_retry=notify,
-                sleep=sleep,
-                label=spec.name,
-            )
-
-        return task
-
-    config = supervision if supervision is not None else SupervisorConfig()
-    runnable = sum(1 for stage in staged if stage is None)
-    worker_count = max(1, min(jobs, runnable))
-    supervisor: Optional[UnitSupervisor] = (
-        UnitSupervisor(config, jobs=worker_count, count=count)
-        if config.enabled
-        else None
-    )
-    pool: Optional[WorkerPool] = None
-    if runnable:
-        pool_options: Dict[str, Any] = {}
-        if supervisor is not None:
-            pool_options = dict(
-                heartbeat_interval=HEARTBEAT_INTERVAL,
-                heartbeat_timeout=HEARTBEAT_TIMEOUT,
-                unit_deadline=config.unit_deadline,
-                kill_grace=KILL_GRACE,
-            )
-        pool = WorkerPool(
-            [make_task(spec) for spec in units], worker_count, **pool_options
+    def __init__(
+        self,
+        units: Sequence[UnitSpec],
+        staged: List[Optional[StagedOutcome]],
+        attempt: Callable[[UnitSpec, Callable], Tuple[Any, int]],
+        *,
+        jobs: int,
+        supervision: Optional[SupervisorConfig],
+        sleep: Callable[[float], None],
+    ) -> None:
+        count = len(units)
+        self.units = units
+        self.staged = staged
+        self.sleep = sleep
+        self.config = supervision if supervision is not None else SupervisorConfig()
+        #: Dispatch preference order.  Starts as spec order; a unit whose
+        #: worker was killed is *demoted* to the back on requeue, so a
+        #: suspected-poison unit cannot hog every kill opportunity
+        #: (burning the whole respawn budget, and its own quarantine
+        #: allowance, while innocent units starve behind it).
+        self.dispatch_order = list(range(count))
+        self.dispatched = [False] * count
+        #: Each unit's worker retry notices, staged with its outcome.
+        self.events: List[List[Tuple]] = [[] for _ in range(count)]
+        self.submitted_at: List[Optional[float]] = [None] * count
+        self.unit_timing: Dict[str, Dict[str, float]] = {}
+        #: Corrupt cache entries discarded inside workers.
+        self.corrupt_discarded = 0
+        self.respawn_budget = count + jobs
+        runnable = staged.count(None)
+        worker_count = max(1, min(jobs, runnable))
+        self.supervisor: Optional[UnitSupervisor] = (
+            UnitSupervisor(self.config, jobs=worker_count, count=count)
+            if self.config.enabled
+            else None
         )
-    batch_cap = _plan_batch_size(runnable, worker_count)
-    report = SuiteReport()
-    # Parent-side discards (cache hits checked in the parent, degraded
-    # mode); worker-side ones arrive as "cache_corrupt" events.
-    corrupt_before = corrupt_discarded_total()
+        self.batch_cap = _plan_batch_size(runnable, worker_count)
+        self.pool: Optional[WorkerPool] = None
+        if runnable:
+            pool_options: Dict[str, Any] = {}
+            if self.supervisor is not None:
+                pool_options = dict(
+                    heartbeat_interval=HEARTBEAT_INTERVAL,
+                    heartbeat_timeout=HEARTBEAT_TIMEOUT,
+                    unit_deadline=self.config.unit_deadline,
+                    kill_grace=KILL_GRACE,
+                )
+            self.pool = WorkerPool(
+                [functools.partial(attempt, spec, _announce_retry) for spec in units],
+                worker_count,
+                **pool_options,
+            )
+        self.started = time_module.monotonic()
 
-    engine_started = time_module.monotonic()
-    submitted_at: List[Optional[float]] = [None] * count
-    unit_timing: Dict[str, Dict[str, float]] = {}
+    # -- timing -----------------------------------------------------------
 
     def record_timing(
+        self,
         index: int,
         *,
         run_s: float,
         queue_wait_s: float = 0.0,
         result_transfer_s: float = 0.0,
     ) -> None:
-        sent = submitted_at[index]
-        unit_timing[units[index].name] = {
-            "dispatch_s": max(0.0, (sent or engine_started) - engine_started),
+        sent = self.submitted_at[index]
+        self.unit_timing[self.units[index].name] = {
+            "dispatch_s": max(0.0, (sent or self.started) - self.started),
             "queue_wait_s": queue_wait_s,
             "run_s": run_s,
             "result_transfer_s": result_transfer_s,
             "flush_s": 0.0,
         }
 
-    def stage_failure(
+    def record_flush(self, index: int, seconds: float) -> None:
+        timing = self.unit_timing.get(self.units[index].name)
+        if timing is not None:
+            timing["flush_s"] = seconds
+
+    # -- staging ----------------------------------------------------------
+
+    def _retries(self, index: int) -> Tuple[Tuple[int, BaseException, float], ...]:
+        return tuple(
+            (attempt, reconstruct_error(type_name, message), delay)
+            for _tag, attempt, type_name, message, delay in self.events[index]
+        )
+
+    def _stage_failure(
+        self,
         index: int,
+        error: BaseException,
         *,
-        error_text: str,
-        traceback_text: Optional[str],
-        elapsed: float,
         attempts: int,
-        exception: BaseException,
+        elapsed: float = 0.0,
+        traceback: Optional[str] = None,
         detail: Optional[Dict[str, Any]] = None,
     ) -> None:
-        staged[index] = {
-            "kind": "fail",
-            "error": error_text,
-            "traceback": traceback_text,
-            "elapsed": elapsed,
-            "attempts": attempts,
-            "exception": exception,
-            "detail": detail,
-        }
-
-    def flush(index: int) -> bool:
-        """Publish/journal/report one unit; True if it ended FAILED."""
-        spec = units[index]
-        stage = staged[index]
-        if stage["kind"] == "skip":
-            previous = journal.get(spec.name) if journal is not None else None
-            report.outcomes.append(
-                UnitOutcome(
-                    name=spec.name,
-                    status=STATUS_SKIPPED,
-                    elapsed=previous.elapsed if previous else 0.0,
-                )
-            )
-            if on_skip is not None:
-                on_skip(spec)
-            return False
-        # Replay the worker's retry notices now, so announcements land
-        # in spec order exactly as a serial run would print them.
-        for event in events[index]:
-            _tag, attempt, type_name, message, delay = event
-            if on_retry is not None:
-                on_retry(
-                    spec, attempt, reconstruct_error(type_name, message), delay
-                )
-        if stage["kind"] == "ok":
-            result = stage["result"]
-            attempts = stage["attempts"]
-            elapsed = stage["elapsed"]
-            payload = None
-            try:
-                if on_success is not None:
-                    on_success(spec, result, elapsed)
-                if journal is not None and journal_payload is not None:
-                    payload = journal_payload(spec, result)
-            except (KeyboardInterrupt, SystemExit) as interrupt:
-                if journal is not None:
-                    journal.record_failure(
-                        spec.name,
-                        error=f"interrupted: {interrupt!r}",
-                        elapsed=elapsed,
-                        attempts=attempts,
-                    )
-                raise
-            except BaseException as error:  # noqa: BLE001 - isolation boundary
-                trace_text = "".join(
-                    traceback_module.format_exception(
-                        type(error), error, error.__traceback__
-                    )
-                )
-                error_text = f"{type(error).__name__}: {error}"
-                if journal is not None:
-                    journal.record_failure(
-                        spec.name,
-                        error=error_text,
-                        traceback=trace_text,
-                        elapsed=elapsed,
-                        attempts=attempts,
-                    )
-                report.outcomes.append(
-                    UnitOutcome(
-                        name=spec.name,
-                        status=STATUS_FAILED,
-                        error=error_text,
-                        traceback=trace_text,
-                        elapsed=elapsed,
-                        attempts=attempts,
-                    )
-                )
-                if on_failure is not None:
-                    on_failure(spec, error)
-                return True
-            if journal is not None:
-                journal.record_success(
-                    spec.name,
-                    elapsed=elapsed,
-                    attempts=attempts,
-                    payload=payload,
-                )
-            report.outcomes.append(
-                UnitOutcome(
-                    name=spec.name,
-                    status=STATUS_OK,
-                    result=result,
-                    elapsed=elapsed,
-                    attempts=attempts,
-                )
-            )
-            return False
-        # stage["kind"] == "fail"
-        if journal is not None:
-            journal.record_failure(
-                spec.name,
-                error=stage["error"],
-                traceback=stage["traceback"],
-                elapsed=stage["elapsed"],
-                attempts=stage["attempts"],
-                detail=stage.get("detail"),
-            )
-        report.outcomes.append(
-            UnitOutcome(
-                name=spec.name,
-                status=STATUS_FAILED,
-                error=stage["error"],
-                traceback=stage["traceback"],
-                elapsed=stage["elapsed"],
-                attempts=stage["attempts"],
-            )
+        self.staged[index] = failed_stage(
+            self.units[index].name,
+            error,
+            traceback=traceback,
+            elapsed=elapsed,
+            attempts=attempts,
+            detail=detail,
+            retries=self._retries(index),
         )
-        if on_failure is not None:
-            on_failure(spec, stage["exception"])
-        return True
 
-    def flush_timed(index: int) -> bool:
-        flush_started = time_module.monotonic()
-        try:
-            return flush(index)
-        finally:
-            timing = unit_timing.get(units[index].name)
-            if timing is not None:
-                timing["flush_s"] = time_module.monotonic() - flush_started
-
-    def handle_kill(index: int, worker_id: int, reason: str, error_text: str):
+    def _handle_kill(self, index: int, reason: str, error_text: str) -> None:
         """A worker kill took unit ``index`` with it: requeue or poison.
 
         ``reason`` is ``"crash"`` or a hang reason; ``error_text`` is the
@@ -389,332 +250,235 @@ def run_units_parallel(
         is embedded in the quarantine message so the journal still names
         the underlying failure.
         """
+        supervisor = self.supervisor
         kills = supervisor.record_kill(index, reason=reason, error=error_text)
         if kills < MAX_WORKER_KILLS:
             supervisor.requeues += 1
-            dispatched[index] = False
-            events[index] = []  # the retry notices died with the attempt
+            self.dispatched[index] = False
+            self.events[index] = []  # the retry notices died with the attempt
             # Send the suspect to the back of the dispatch order: other
             # units get their turn (and their own workers) first.
-            dispatch_order.remove(index)
-            dispatch_order.append(index)
+            self.dispatch_order.remove(index)
+            self.dispatch_order.append(index)
             return
-        name = units[index].name
+        name = self.units[index].name
         supervisor.poisoned_units.append(name)
-        error = PoisonUnitError(
-            f"unit {name!r} quarantined after killing {kills} workers; "
-            f"last: {error_text}"
-        )
-        stage_failure(
+        self._stage_failure(
             index,
-            error_text=f"{type(error).__name__}: {error}",
-            traceback_text=None,
-            elapsed=0.0,
+            PoisonUnitError(
+                f"unit {name!r} quarantined after killing {kills} workers; "
+                f"last: {error_text}"
+            ),
             attempts=kills,
-            exception=error,
             detail=supervisor.poison_detail(index),
         )
 
-    def run_inline(index: int) -> None:
-        """Degraded mode: run one unit in the parent, staging its outcome."""
-        spec = units[index]
-        deadline = Deadline(deadline_seconds, clock=clock)
-        attempts_seen = {"count": 0}
+    # -- one round --------------------------------------------------------
 
-        def notify(attempt, error, delay):
-            attempts_seen["count"] = attempt
-            # Staged like worker retry events so flush announces them
-            # identically.
-            events[index].append(
-                ("retry", attempt, type(error).__name__, str(error), delay)
-            )
+    def step(self) -> None:
+        """Dispatch to idle workers, stage what finished, tend the pool."""
+        self._dispatch()
+        for message in self.pool.poll(_POLL_SECONDS):
+            self._receive(message)
+        outstanding = any(
+            stage is None and not dispatched
+            for stage, dispatched in zip(self.staged, self.dispatched)
+        )
+        if outstanding:
+            self._keep_alive()
 
-        started = clock()
-        try:
-            result, attempts = call_with_retry(
-                spec.run,
-                policy=retry_policy,
-                deadline=deadline,
-                retriable=retriable,
-                on_retry=notify,
-                sleep=sleep,
-                label=spec.name,
-            )
-        except (KeyboardInterrupt, SystemExit):
-            raise
-        except BaseException as error:  # noqa: BLE001 - isolation boundary
-            attempts = attempts_seen["count"] + (
-                0 if isinstance(error, DeadlineExceededError) else 1
-            )
-            elapsed = clock() - started
-            stage_failure(
-                index,
-                error_text=f"{type(error).__name__}: {error}",
-                traceback_text="".join(
-                    traceback_module.format_exception(
-                        type(error), error, error.__traceback__
-                    )
-                ),
-                elapsed=elapsed,
-                attempts=attempts,
-                exception=error,
-            )
-            record_timing(index, run_s=elapsed)
-            return
-        elapsed = clock() - started
-        staged[index] = {
-            "kind": "ok",
-            "result": result,
-            "attempts": attempts,
-            "elapsed": elapsed,
-        }
-        record_timing(index, run_s=elapsed)
-
-    flushed = 0
-    stop = False
-    respawn_budget = count + jobs
-    clean = False
-
-    def run_degraded_serial() -> None:
-        """The pool is gone: finish the suite serially in the parent.
-
-        Flush is a contiguous prefix of spec order, so running and
-        flushing unit ``flushed`` in lockstep preserves every ordering
-        contract.
-        """
-        nonlocal flushed, stop
-        supervisor.degraded = True
-        while flushed < count and not stop:
-            if staged[flushed] is None:
-                run_inline(flushed)
-            failed = flush_timed(flushed)
-            flushed += 1
-            if failed and fail_fast:
-                stop = True
-    try:
-        while flushed < count:
-            while flushed < count and staged[flushed] is not None:
-                failed = flush_timed(flushed)
-                flushed += 1
-                if failed and fail_fast:
-                    stop = True
-                    break
-            if stop or flushed >= count:
+    def _dispatch(self) -> None:
+        pool, supervisor = self.pool, self.supervisor
+        busy = pool.busy_count()
+        for worker_id in pool.idle_workers():
+            # The AIMD window admits *workers holding batches*, not
+            # individual units — at batch size 1 the two are the same
+            # thing, which is what the window's jobs-sized cap was
+            # calibrated against.
+            if supervisor is not None and busy >= supervisor.window():
                 break
-            if pool is None:
-                raise ParallelError(
-                    "internal: unfinished units but no worker pool"
+            batch: List[int] = []
+            for index in self.dispatch_order:
+                if len(batch) >= self.batch_cap:
+                    break
+                if self.staged[index] is not None or self.dispatched[index]:
+                    continue
+                batch.append(index)
+                self.dispatched[index] = True
+            if not batch:
+                break
+            now = time_module.monotonic()
+            for index in batch:
+                self.submitted_at[index] = now
+            pool.submit_batch(worker_id, batch)
+            busy += 1
+
+    def _receive(self, message) -> None:
+        index = message.task_id
+        supervisor = self.supervisor
+        if message.kind == "event":
+            if message.payload[0] == "cache_corrupt":
+                self.corrupt_discarded += 1
+            elif index is not None and message.payload[0] == "retry":
+                self.events[index].append(message.payload)
+        elif message.kind == "requeue":
+            # A batch sibling of a dead worker: it never ran, so it is
+            # not charged a kill — just dispatched again.
+            if index is not None and self.staged[index] is None:
+                self.dispatched[index] = False
+                self.events[index] = []
+                self.submitted_at[index] = None
+                if supervisor is not None:
+                    supervisor.sibling_requeues += 1
+        elif message.kind == "done" and self.staged[index] is None:
+            blob, elapsed, meta = message.payload
+            received = time_module.monotonic()
+            try:
+                result, attempts = pickle.loads(blob)
+            except Exception as error:  # noqa: BLE001 - contained
+                self._stage_failure(
+                    index,
+                    error,
+                    elapsed=elapsed,
+                    attempts=len(self.events[index]) + 1,
                 )
-            busy = pool.busy_count()
-            for worker_id in pool.idle_workers():
-                # The AIMD window admits *workers holding batches*, not
-                # individual units — at batch size 1 the two are the
-                # same thing, which is what the window's jobs-sized cap
-                # was calibrated against.
-                if supervisor is not None and busy >= supervisor.window():
-                    break
-                batch: List[int] = []
-                for index in dispatch_order:
-                    if len(batch) >= batch_cap:
-                        break
-                    if staged[index] is not None or dispatched[index]:
-                        continue
-                    batch.append(index)
-                    dispatched[index] = True
-                if not batch:
-                    break
-                now = time_module.monotonic()
-                for index in batch:
-                    submitted_at[index] = now
-                pool.submit_batch(worker_id, batch)
-                busy += 1
-            for message in pool.poll(_POLL_SECONDS):
-                index = message.task_id
-                if message.kind == "event":
-                    if message.payload[0] == "cache_corrupt":
-                        report.cache_corrupt_discarded += 1
-                    elif index is not None and message.payload[0] == "retry":
-                        events[index].append(message.payload)
-                elif message.kind == "requeue":
-                    # A batch sibling of a dead worker: it never ran, so
-                    # it is not charged a kill — just dispatched again.
-                    if index is not None and staged[index] is None:
-                        dispatched[index] = False
-                        events[index] = []
-                        submitted_at[index] = None
-                        if supervisor is not None:
-                            supervisor.sibling_requeues += 1
-                elif message.kind == "done" and staged[index] is None:
-                    blob, elapsed, meta = message.payload
-                    received = time_module.monotonic()
-                    try:
-                        result, attempts = pickle.loads(blob)
-                    except Exception as error:  # noqa: BLE001 - contained
-                        stage_failure(
-                            index,
-                            error_text=f"{type(error).__name__}: {error}",
-                            traceback_text=None,
-                            elapsed=elapsed,
-                            attempts=len(events[index]) + 1,
-                            exception=error,
-                        )
-                        continue
-                    decode_s = time_module.monotonic() - received
-                    sent = submitted_at[index]
-                    started_at = meta.get("started_at")
-                    sent_at = meta.get("sent_at")
-                    record_timing(
-                        index,
-                        run_s=meta.get("run_s", elapsed),
-                        queue_wait_s=(
-                            max(0.0, started_at - sent)
-                            if sent is not None and started_at is not None
-                            else 0.0
-                        ),
-                        result_transfer_s=(
-                            (
-                                max(0.0, received - sent_at)
-                                if sent_at is not None
-                                else 0.0
-                            )
-                            + meta.get("encode_s", 0.0)
-                            + decode_s
-                        ),
-                    )
-                    staged[index] = {
-                        "kind": "ok",
-                        "result": result,
-                        "attempts": attempts,
-                        "elapsed": elapsed,
-                    }
-                    if supervisor is not None:
-                        supervisor.on_healthy()
-                elif message.kind == "error" and staged[index] is None:
-                    type_name, text, remote_tb, elapsed = message.payload
-                    retries = len(events[index])
-                    attempts = (
-                        retries
-                        if type_name == "DeadlineExceededError"
-                        else retries + 1
-                    )
-                    stage_failure(
-                        index,
-                        error_text=f"{type_name}: {text}",
-                        traceback_text=remote_tb,
-                        elapsed=elapsed,
-                        attempts=attempts,
-                        exception=reconstruct_error(type_name, text, remote_tb),
-                    )
-                    record_timing(index, run_s=elapsed)
-                    if supervisor is not None:
-                        # An ordinary reported error is a *healthy*
-                        # worker doing its job; only kills shrink the
-                        # admission window.
-                        supervisor.on_healthy()
-                elif message.kind == "crash":
-                    if index is None or staged[index] is not None:
-                        continue
-                    error_text = (
-                        f"WorkerCrashError: worker {message.worker_id} "
-                        f"exited with code {message.payload} while running "
-                        f"{units[index].name!r}"
-                    )
-                    if supervisor is not None:
-                        handle_kill(
-                            index, message.worker_id, "crash", error_text
-                        )
-                    else:
-                        error = WorkerCrashError(
-                            f"worker {message.worker_id} exited with code "
-                            f"{message.payload} while running "
-                            f"{units[index].name!r}"
-                        )
-                        stage_failure(
-                            index,
-                            error_text=f"{type(error).__name__}: {error}",
-                            traceback_text=None,
-                            elapsed=0.0,
-                            attempts=len(events[index]) + 1,
-                            exception=error,
-                        )
-                elif message.kind == "hang":
-                    # Only supervised pools synthesize hangs; the worker
-                    # is already dead (killed by the pool).
-                    if index is not None and staged[index] is None:
-                        reason = message.payload["reason"]
-                        hang_elapsed = message.payload["elapsed"]
-                        handle_kill(
-                            index,
-                            message.worker_id,
-                            reason,
-                            f"WorkerHangError: worker {message.worker_id} "
-                            f"hung ({reason}) after {hang_elapsed:.1f}s "
-                            f"running {units[index].name!r}",
-                        )
-            if supervisor is None:
-                if pool.alive_count() == 0:
-                    outstanding = any(
-                        staged[index] is None and not dispatched[index]
-                        for index in range(count)
-                    )
-                    if outstanding:
-                        if respawn_budget <= 0:
-                            raise ParallelError(
-                                "workers keep dying before accepting work; "
-                                "giving up on the remaining units"
-                            )
-                        for worker_id in range(pool.jobs):
-                            respawn_budget -= 1
-                            pool.respawn(worker_id)
-                continue
-            outstanding = any(
-                staged[index] is None and not dispatched[index]
-                for index in range(count)
+                return
+            decode_s = time_module.monotonic() - received
+            sent = self.submitted_at[index]
+            started_at = meta.get("started_at")
+            sent_at = meta.get("sent_at")
+            self.record_timing(
+                index,
+                run_s=meta.get("run_s", elapsed),
+                queue_wait_s=(
+                    max(0.0, started_at - sent)
+                    if sent is not None and started_at is not None
+                    else 0.0
+                ),
+                result_transfer_s=(
+                    (max(0.0, received - sent_at) if sent_at is not None else 0.0)
+                    + meta.get("encode_s", 0.0)
+                    + decode_s
+                ),
             )
-            if not outstanding:
-                continue
-            dead = pool.dead_workers()
-            if dead:
-                delay = supervisor.backoff_delay()
-                if delay > 0.0:
-                    sleep(delay)
-                for worker_id in dead:
-                    if not supervisor.consume_respawn():
-                        break
-                    pool.respawn(worker_id)
-            if pool.alive_count() == 0:
-                # The respawn budget is gone and no worker survives:
-                # the pool cannot be kept healthy.
-                if not config.degraded_ok:
-                    raise ParallelError(
-                        "workers keep dying and the respawn budget is "
-                        f"exhausted after {supervisor.respawns} respawns; "
-                        "remaining units not run "
-                        "(degraded_ok would fall back to serial)"
-                    )
-                pool.terminate()
-                run_degraded_serial()
-        clean = True
-    finally:
-        if pool is not None:
-            if clean and not stop:
-                pool.close()
+            self.staged[index] = StagedOutcome(
+                UnitOutcome(
+                    name=self.units[index].name,
+                    status=STATUS_OK,
+                    result=result,
+                    elapsed=elapsed,
+                    attempts=attempts,
+                ),
+                retries=self._retries(index),
+            )
+            if supervisor is not None:
+                supervisor.on_healthy()
+        elif message.kind == "error" and self.staged[index] is None:
+            type_name, text, remote_tb, elapsed = message.payload
+            retries = len(self.events[index])
+            self._stage_failure(
+                index,
+                reconstruct_error(type_name, text, remote_tb),
+                traceback=remote_tb,
+                elapsed=elapsed,
+                attempts=(
+                    retries if type_name == "DeadlineExceededError" else retries + 1
+                ),
+            )
+            self.record_timing(index, run_s=elapsed)
+            if supervisor is not None:
+                # An ordinary reported error is a *healthy* worker doing
+                # its job; only kills shrink the admission window.
+                supervisor.on_healthy()
+        elif message.kind == "crash":
+            if index is None or self.staged[index] is not None:
+                return
+            account = (
+                f"worker {message.worker_id} exited with code "
+                f"{message.payload} while running {self.units[index].name!r}"
+            )
+            if supervisor is not None:
+                self._handle_kill(index, "crash", f"WorkerCrashError: {account}")
             else:
-                pool.terminate()
-    if supervisor is not None:
-        report.supervision = supervisor.stats()
-    if unit_timing:
-        report.timing = {
-            "units": unit_timing,
-            "totals": {
-                key: sum(timing[key] for timing in unit_timing.values())
-                for key in _TIMING_KEYS
-            },
-        }
-    report.cache_corrupt_discarded += (
-        corrupt_discarded_total() - corrupt_before
-    )
-    return report
+                self._stage_failure(
+                    index,
+                    WorkerCrashError(account),
+                    attempts=len(self.events[index]) + 1,
+                )
+        elif message.kind == "hang":
+            # Only supervised pools synthesize hangs; the worker is
+            # already dead (killed by the pool).
+            if index is not None and self.staged[index] is None:
+                reason = message.payload["reason"]
+                self._handle_kill(
+                    index,
+                    reason,
+                    f"WorkerHangError: worker {message.worker_id} hung "
+                    f"({reason}) after {message.payload['elapsed']:.1f}s "
+                    f"running {self.units[index].name!r}",
+                )
+
+    def _keep_alive(self) -> None:
+        """Respawn dead workers; give the pool up when that fails."""
+        pool, supervisor = self.pool, self.supervisor
+        if supervisor is None:
+            if pool.alive_count() == 0:
+                if self.respawn_budget <= 0:
+                    raise ParallelError(
+                        "workers keep dying before accepting work; "
+                        "giving up on the remaining units"
+                    )
+                for worker_id in range(pool.jobs):
+                    self.respawn_budget -= 1
+                    pool.respawn(worker_id)
+            return
+        dead = pool.dead_workers()
+        if dead:
+            delay = supervisor.backoff_delay()
+            if delay > 0.0:
+                self.sleep(delay)
+            for worker_id in dead:
+                if not supervisor.consume_respawn():
+                    break
+                pool.respawn(worker_id)
+        if pool.alive_count() == 0:
+            # The respawn budget is gone and no worker survives: the pool
+            # cannot be kept healthy.
+            if not self.config.degraded_ok:
+                raise ParallelError(
+                    "workers keep dying and the respawn budget is "
+                    f"exhausted after {supervisor.respawns} respawns; "
+                    "remaining units not run "
+                    "(degraded_ok would fall back to serial)"
+                )
+            pool.terminate()
+            self.pool = None
+            supervisor.degraded = True
+
+    # -- end of run -------------------------------------------------------
+
+    def close(self, *, graceful: bool) -> None:
+        """Close the pool after a finished run; kill it otherwise."""
+        if self.pool is not None:
+            if graceful:
+                self.pool.close()
+            else:
+                self.pool.terminate()
+            self.pool = None
+
+    def finish(self, report) -> None:
+        """Fill the report's supervision, timing and worker-side counts."""
+        if self.supervisor is not None:
+            report.supervision = self.supervisor.stats()
+        if self.unit_timing:
+            report.timing = {
+                "units": self.unit_timing,
+                "totals": {
+                    key: sum(timing[key] for timing in self.unit_timing.values())
+                    for key in _TIMING_KEYS
+                },
+            }
+        report.cache_corrupt_discarded += self.corrupt_discarded
 
 
-__all__ = ["run_units_parallel"]
+__all__ = ["PoolEngine"]

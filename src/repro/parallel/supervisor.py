@@ -2,7 +2,7 @@
 
 :mod:`repro.parallel.pool` gives the *mechanisms* — heartbeats, hang
 detection, ``kill``/``respawn`` — and this module supplies the *policy*
-that :func:`repro.parallel.engine.run_units_parallel` drives:
+that :class:`repro.parallel.engine.PoolEngine` drives:
 
 * **Kill accounting and quarantine.**  Every worker kill (crash, blown
   deadline, lost heartbeat) is charged to the unit that was in flight.
@@ -14,8 +14,9 @@ that :func:`repro.parallel.engine.run_units_parallel` drives:
 * **Exponential-backoff respawn.**  Consecutive kills double the delay
   before the next respawn (``BACKOFF_BASE`` up to ``BACKOFF_MAX``);
   a healthy completion resets it.  A bounded respawn budget converts
-  "workers keep dying" into either a clean error or degraded-serial
-  fallback instead of a fork bomb.
+  "workers keep dying" into either a clean error or a degraded-serial
+  finish (the executor's loop runs the rest in the parent) instead of
+  a fork bomb.
 * **AIMD admission control.**  :class:`AIMDController` throttles how
   many units may be in flight at once: additive increase on every
   healthy completion, multiplicative decrease on every breach, never
@@ -131,7 +132,7 @@ class _UnitHealth:
 
 
 class UnitSupervisor:
-    """Parent-side supervision state for one ``run_units_parallel`` call.
+    """Parent-side supervision state for one ``run_units(jobs=N)`` pool.
 
     The engine reports events (:meth:`record_kill`, :meth:`on_healthy`)
     and asks questions (:meth:`poisoned`, :meth:`window`,

@@ -7,6 +7,11 @@ FAILED with its traceback and the *rest of the suite keeps going*; with
 a :class:`~repro.robustness.journal.RunJournal` attached, every outcome
 is checkpointed so an interrupted run resumes where it left off.
 
+Serial, parallel and degraded-serial runs share one loop: units are
+staged as they finish and flushed (published, journaled, reported) in
+spec order.  Only who runs the next unit differs — the parent itself,
+or a forked worker pool from :mod:`repro.parallel.engine`.
+
 The resulting :class:`SuiteReport` renders a one-screen summary (OK /
 SKIPPED / FAILED per unit plus each failure's message) and maps to the
 process exit code: 0 when everything succeeded, 1 when any unit failed.
@@ -17,16 +22,7 @@ from __future__ import annotations
 import time
 import traceback as traceback_module
 from dataclasses import dataclass, field
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-    Type,
-)
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import DeadlineExceededError, ParallelError
 from repro.parallel.supervisor import SupervisorConfig
@@ -169,6 +165,52 @@ class SuiteReport:
         return "\n".join(lines)
 
 
+@dataclass(frozen=True)
+class StagedOutcome:
+    """A finished unit waiting for its turn to be flushed.
+
+    ``outcome`` is what the report will say unless publishing fails;
+    ``exception`` is handed to ``on_failure``; ``detail`` is stored on
+    the journal's failure record; ``retries`` are ``(attempt, error,
+    delay)`` notices from a worker, announced when the unit is flushed.
+    """
+
+    outcome: UnitOutcome
+    exception: Optional[BaseException] = None
+    detail: Optional[Dict[str, Any]] = None
+    retries: Tuple[Tuple[int, BaseException, float], ...] = ()
+
+
+def failed_stage(
+    name: str,
+    error: BaseException,
+    *,
+    traceback: Optional[str],
+    elapsed: float,
+    attempts: int,
+    detail: Optional[Dict[str, Any]] = None,
+    retries: Tuple[Tuple[int, BaseException, float], ...] = (),
+) -> StagedOutcome:
+    """Stage unit ``name`` as FAILED with ``error``."""
+    outcome = UnitOutcome(
+        name=name,
+        status=STATUS_FAILED,
+        error=f"{type(error).__name__}: {error}",
+        traceback=traceback,
+        elapsed=elapsed,
+        attempts=attempts,
+    )
+    return StagedOutcome(outcome, error, detail, retries)
+
+
+def _format_traceback(error: BaseException) -> str:
+    return "".join(
+        traceback_module.format_exception(
+            type(error), error, error.__traceback__
+        )
+    )
+
+
 def run_units(
     units: Sequence[UnitSpec],
     *,
@@ -177,7 +219,6 @@ def run_units(
     retry_policy: RetryPolicy = RetryPolicy(),
     deadline_seconds: Optional[float] = None,
     fail_fast: bool = False,
-    retriable: Tuple[Type[BaseException], ...] = (Exception,),
     on_success: Optional[Callable[[UnitSpec, Any, float], None]] = None,
     on_skip: Optional[Callable[[UnitSpec], None]] = None,
     on_failure: Optional[Callable[[UnitSpec, BaseException], None]] = None,
@@ -185,7 +226,6 @@ def run_units(
     journal_payload: Optional[
         Callable[[UnitSpec, Any], Optional[Dict[str, Any]]]
     ] = None,
-    clock: Callable[[], float] = time.monotonic,
     sleep: Callable[[float], None] = time.sleep,
     jobs: Optional[int] = None,
     supervision: Optional[SupervisorConfig] = None,
@@ -193,7 +233,7 @@ def run_units(
     """Run every unit, isolating failures; never raises for a unit's error.
 
     A repeated unit name raises :class:`~repro.errors.ParallelError`
-    before any unit runs, serially and in parallel alike.
+    before any unit runs.
 
     ``on_success`` (publishing: rendering, writing result files) runs
     *before* the unit is journaled as complete, and inside the same
@@ -203,168 +243,202 @@ def run_units(
     maps a unit's result to the dict stored on its success record, so a
     resumed run can re-publish outputs without re-running the unit.
 
-    ``jobs`` spreads units over that many forked worker processes
-    (``0`` = one per CPU; default serial).  The workers inherit the unit
-    closures by fork, so units need not pickle; their results must.
-    The parallel path (:mod:`repro.parallel.engine`) produces the same
-    report, journal contents and callback order as this serial loop:
-    workers only compute, while the parent publishes and journals
-    outcomes as a contiguous prefix of spec order.  ``clock``/``sleep`` injection only
-    affects worker-side retry timing through the fork, so tests that
-    fake time should stay serial.
+    There is one loop: finished units are *staged*, then *flushed*
+    (published, journaled, reported) strictly as a contiguous prefix of
+    spec order.  ``jobs`` (``0`` = one per CPU; default serial) decides
+    who runs the next unstaged unit.  With one worker or one unit the
+    parent runs it in-process and flushes it at once.  Otherwise a
+    forked pool (:class:`repro.parallel.engine.PoolEngine`) runs units
+    in any order and stages them as they finish; workers inherit the
+    unit closures by fork, so units need not pickle, but their results
+    must.  When a supervised pool cannot be kept alive the loop carries
+    on in-process (degraded-serial).  Either way the report, journal
+    contents and callback order are the same.  In-process retries call
+    ``on_retry`` as they happen; a worker's are announced when its unit
+    is flushed.
 
-    ``KeyboardInterrupt``/``SystemExit`` still propagate (after being
-    journaled as a failure when a journal is attached) so an operator's
-    Ctrl-C actually stops the run — the journal then makes the rerun
-    cheap, which is the whole point.
+    ``KeyboardInterrupt``/``SystemExit`` raised by a unit running in the
+    parent, or by a publish callback, is journaled as a failure (when a
+    journal is attached) and then propagates, so an operator's Ctrl-C
+    actually stops the run — the journal then makes the rerun cheap.
     """
     from repro.parallel.cache import corrupt_discarded_total
     from repro.parallel.pool import resolve_jobs
 
     validate_units(units)
-    worker_count = resolve_jobs(jobs)
+    report = SuiteReport()
     corrupt_before = corrupt_discarded_total()
-    if worker_count > 1 and len(units) > 1:
-        from repro.parallel.engine import run_units_parallel
+    staged: List[Optional[StagedOutcome]] = [None] * len(units)
+    if resume and journal is not None:
+        for index, spec in enumerate(units):
+            if journal.completed(spec.name):
+                staged[index] = StagedOutcome(
+                    UnitOutcome(
+                        name=spec.name,
+                        status=STATUS_SKIPPED,
+                        elapsed=journal.get(spec.name).elapsed,
+                    )
+                )
 
-        return run_units_parallel(
-            units,
-            jobs=worker_count,
-            journal=journal,
-            resume=resume,
-            retry_policy=retry_policy,
-            deadline_seconds=deadline_seconds,
-            fail_fast=fail_fast,
-            retriable=retriable,
-            on_success=on_success,
-            on_skip=on_skip,
-            on_failure=on_failure,
-            on_retry=on_retry,
-            journal_payload=journal_payload,
-            clock=clock,
+    def attempt(spec: UnitSpec, notify: Callable) -> Tuple[Any, int]:
+        """Run one unit under the retry policy, in a worker or here."""
+        return call_with_retry(
+            spec.run,
+            policy=retry_policy,
+            deadline=Deadline(deadline_seconds),
+            on_retry=notify,
             sleep=sleep,
-            supervision=supervision,
+            label=spec.name,
         )
 
-    report = SuiteReport()
-    for spec in units:
-        if resume and journal is not None and journal.completed(spec.name):
-            previous = journal.get(spec.name)
-            report.outcomes.append(
-                UnitOutcome(
-                    name=spec.name,
-                    status=STATUS_SKIPPED,
-                    elapsed=previous.elapsed if previous else 0.0,
-                )
-            )
-            if on_skip is not None:
-                on_skip(spec)
-            continue
+    engine = None
+    workers = resolve_jobs(jobs)
+    if workers > 1 and len(units) > 1:
+        from repro.parallel.engine import PoolEngine
 
-        deadline = Deadline(deadline_seconds, clock=clock)
-        started = clock()
-        attempts_seen = {"count": 0}
+        engine = PoolEngine(
+            units,
+            staged,
+            attempt,
+            jobs=workers,
+            supervision=supervision,
+            sleep=sleep,
+        )
 
-        def unit_on_retry(attempt, error, delay, _spec=spec):
-            attempts_seen["count"] = attempt
-            if on_retry is not None:
-                on_retry(_spec, attempt, error, delay)
-
-        def journal_interrupt(interrupt, attempts, _spec=spec, _started=started):
-            if journal is not None:
-                journal.record_failure(
-                    _spec.name,
-                    error=f"interrupted: {interrupt!r}",
-                    elapsed=clock() - _started,
-                    attempts=attempts,
-                )
-
-        def record_unit_failure(error, attempts, _spec=spec, _started=started):
-            elapsed = clock() - _started
-            trace_text = "".join(
-                traceback_module.format_exception(
-                    type(error), error, error.__traceback__
-                )
-            )
-            if journal is not None:
-                journal.record_failure(
-                    _spec.name,
-                    error=f"{type(error).__name__}: {error}",
-                    traceback=trace_text,
-                    elapsed=elapsed,
-                    attempts=attempts,
-                )
-            report.outcomes.append(
-                UnitOutcome(
-                    name=_spec.name,
-                    status=STATUS_FAILED,
-                    error=f"{type(error).__name__}: {error}",
-                    traceback=trace_text,
-                    elapsed=elapsed,
-                    attempts=attempts,
-                )
-            )
-            if on_failure is not None:
-                on_failure(_spec, error)
-
-        try:
-            result, attempts = call_with_retry(
-                spec.run,
-                policy=retry_policy,
-                deadline=deadline,
-                retriable=retriable,
-                on_retry=unit_on_retry,
-                sleep=sleep,
-                label=spec.name,
-            )
-        except (KeyboardInterrupt, SystemExit) as interrupt:
-            journal_interrupt(interrupt, attempts_seen["count"] + 1)
-            raise
-        except BaseException as error:  # noqa: BLE001 - isolation boundary
-            attempts = (
-                attempts_seen["count"] + 1
-                if not isinstance(error, DeadlineExceededError)
-                else attempts_seen["count"]
-            )
-            record_unit_failure(error, attempts)
-            if fail_fast:
-                break
-            continue
-
-        # Publish BEFORE journaling success: a unit is complete only
-        # once its outputs exist, so a publish error (render, CSV or
-        # results-dir write) must not leave a success record that a
-        # later --resume would trust.
-        elapsed = clock() - started
-        payload: Optional[Dict[str, Any]] = None
-        try:
-            if on_success is not None:
-                on_success(spec, result, elapsed)
-            if journal is not None and journal_payload is not None:
-                payload = journal_payload(spec, result)
-        except (KeyboardInterrupt, SystemExit) as interrupt:
-            journal_interrupt(interrupt, attempts)
-            raise
-        except BaseException as error:  # noqa: BLE001 - isolation boundary
-            record_unit_failure(error, attempts)
-            if fail_fast:
-                break
-            continue
-
+    def journal_interrupt(spec, interrupt, elapsed, attempts) -> None:
         if journal is not None:
-            journal.record_success(
-                spec.name, elapsed=elapsed, attempts=attempts, payload=payload
-            )
-        report.outcomes.append(
-            UnitOutcome(
-                name=spec.name,
-                status=STATUS_OK,
-                result=result,
+            journal.record_failure(
+                spec.name,
+                error=f"interrupted: {interrupt!r}",
                 elapsed=elapsed,
                 attempts=attempts,
             )
-        )
-    report.cache_corrupt_discarded = corrupt_discarded_total() - corrupt_before
+
+    def run_here(index: int) -> None:
+        """Run unit ``index`` in this process and stage its outcome."""
+        spec = units[index]
+        retried = [0]
+
+        def notify(number, error, delay):
+            retried[0] = number
+            if on_retry is not None:
+                on_retry(spec, number, error, delay)
+
+        started = time.monotonic()
+        try:
+            result, attempts = attempt(spec, notify)
+        except (KeyboardInterrupt, SystemExit) as interrupt:
+            journal_interrupt(
+                spec, interrupt, time.monotonic() - started, retried[0] + 1
+            )
+            raise
+        except BaseException as error:  # noqa: BLE001 - isolation boundary
+            elapsed = time.monotonic() - started
+            timed_out = isinstance(error, DeadlineExceededError)
+            staged[index] = failed_stage(
+                spec.name,
+                error,
+                traceback=_format_traceback(error),
+                elapsed=elapsed,
+                attempts=retried[0] + (0 if timed_out else 1),
+            )
+        else:
+            elapsed = time.monotonic() - started
+            staged[index] = StagedOutcome(
+                UnitOutcome(
+                    name=spec.name,
+                    status=STATUS_OK,
+                    result=result,
+                    elapsed=elapsed,
+                    attempts=attempts,
+                )
+            )
+        if engine is not None:
+            engine.record_timing(index, run_s=elapsed)
+
+    def flush(index: int) -> bool:
+        """Publish, journal and report one staged unit; True if FAILED."""
+        spec = units[index]
+        stage = staged[index]
+        outcome = stage.outcome
+        if outcome.status == STATUS_SKIPPED:
+            report.outcomes.append(outcome)
+            if on_skip is not None:
+                on_skip(spec)
+            return False
+        if on_retry is not None:
+            for number, error, delay in stage.retries:
+                on_retry(spec, number, error, delay)
+        if outcome.status == STATUS_OK:
+            # Publish BEFORE journaling success: a unit is complete only
+            # once its outputs exist, so a publish error (render, CSV or
+            # results-dir write) must not leave a success record that a
+            # later --resume would trust.
+            payload: Optional[Dict[str, Any]] = None
+            try:
+                if on_success is not None:
+                    on_success(spec, outcome.result, outcome.elapsed)
+                if journal is not None and journal_payload is not None:
+                    payload = journal_payload(spec, outcome.result)
+            except (KeyboardInterrupt, SystemExit) as interrupt:
+                journal_interrupt(
+                    spec, interrupt, outcome.elapsed, outcome.attempts
+                )
+                raise
+            except BaseException as error:  # noqa: BLE001 - isolation boundary
+                stage = failed_stage(
+                    spec.name,
+                    error,
+                    traceback=_format_traceback(error),
+                    elapsed=outcome.elapsed,
+                    attempts=outcome.attempts,
+                )
+            else:
+                if journal is not None:
+                    journal.record_success(
+                        spec.name,
+                        elapsed=outcome.elapsed,
+                        attempts=outcome.attempts,
+                        payload=payload,
+                    )
+                report.outcomes.append(outcome)
+                return False
+        failure = stage.outcome
+        if journal is not None:
+            journal.record_failure(
+                spec.name,
+                error=failure.error,
+                traceback=failure.traceback,
+                elapsed=failure.elapsed,
+                attempts=failure.attempts,
+                detail=stage.detail,
+            )
+        report.outcomes.append(failure)
+        if on_failure is not None:
+            on_failure(spec, stage.exception)
+        return True
+
+    flushed = 0
+    try:
+        while flushed < len(units):
+            if staged[flushed] is None:
+                if engine is not None and engine.pool is not None:
+                    engine.step()
+                    continue
+                run_here(flushed)
+            flush_started = time.monotonic()
+            failed = flush(flushed)
+            if engine is not None:
+                engine.record_flush(flushed, time.monotonic() - flush_started)
+            flushed += 1
+            if failed and fail_fast:
+                break
+    finally:
+        if engine is not None:
+            engine.close(graceful=flushed == len(units))
+    if engine is not None:
+        engine.finish(report)
+    report.cache_corrupt_discarded += corrupt_discarded_total() - corrupt_before
     return report
 
 
@@ -372,9 +446,11 @@ __all__ = [
     "STATUS_FAILED",
     "STATUS_OK",
     "STATUS_SKIPPED",
+    "StagedOutcome",
     "SuiteReport",
     "UnitOutcome",
     "UnitSpec",
+    "failed_stage",
     "run_units",
     "validate_units",
 ]

@@ -10,16 +10,13 @@ Set-index bits default to the low bits of the page number; an explicit
 bits — the degenerate "two-page-size hardware, no large pages allocated"
 case of Table 5.1's second column.
 
-Passing a :class:`~repro.robustness.journal.RunJournal` checkpoints each
-(page size, config) result as it is extracted and, on a resumed run,
-skips any stack pass whose entire family of results is already
-journaled — one pass is expensive, its results are precious.  A
-:class:`~repro.parallel.cache.SimulationCache` adds a second,
-cross-run layer: results found there are copied into the journal
-without simulating.  ``jobs`` fans independent stack-pass families out
-as one :func:`~repro.robustness.executor.run_units` unit each; the
-workers inherit the page-number arrays by fork, and results are still
-recorded in serial order.
+A :class:`~repro.parallel.cache.SimulationCache` replays results
+across runs: one pass is expensive, its results are precious, and only
+stack passes with an uncached result run.  ``jobs`` fans independent
+stack-pass families out as one
+:func:`~repro.robustness.executor.run_units` unit each; the workers
+inherit the page-number arrays by fork, and results are still recorded
+in serial order.
 """
 
 from __future__ import annotations
@@ -40,7 +37,6 @@ from repro.parallel.pool import resolve_jobs
 from repro.perf.kernels import KERNEL_AUTO
 from repro.robustness import faultinject
 from repro.robustness.executor import UnitSpec, run_units
-from repro.robustness.journal import RunJournal
 from repro.robustness.retry import NO_RETRY
 from repro.sim.config import SingleSizeScheme, TLBConfig
 from repro.sim.driver import RunResult
@@ -51,23 +47,6 @@ from repro.stacksim.lru_stack import (
 )
 from repro.trace.record import Trace
 from repro.types import log2_exact
-
-
-def _sweep_unit(
-    trace: Trace, page_size: int, label: str, index_shift: int
-) -> str:
-    """Journal key for one (trace, page size, config) sweep result.
-
-    The key embeds a trace-fingerprint prefix so a journal written
-    against one trace can never satisfy a resume against a different
-    trace of the same name (e.g. a regenerated workload or a different
-    ``--trace-length``).  Journals written before the fingerprint was
-    added simply miss and re-simulate — a deliberate one-time cost.
-    """
-    return (
-        f"sweep:{trace.name}:{trace.fingerprint[:12]}:"
-        f"{page_size}:{label}:shift{index_shift}"
-    )
 
 
 def _sweep_cache_key(
@@ -130,7 +109,6 @@ def sweep_single_size(
     *,
     base_penalty: float = SINGLE_SIZE_PENALTY_CYCLES,
     index_shift: int = 0,
-    journal: Optional[RunJournal] = None,
     kernel: str = KERNEL_AUTO,
     cache: Optional[SimulationCache] = None,
     jobs: Optional[int] = None,
@@ -145,16 +123,12 @@ def sweep_single_size(
         index_shift: extra right-shift applied to the page number before
             taking set-index bits (0 = conventional; 3 with 4KB pages =
             index by 32KB chunk bits).
-        journal: optional checkpoint journal; completed (page size,
-            config) units are replayed from it instead of re-simulated,
-            and fresh results are recorded as they are extracted.
-        cache: optional content-addressed result cache, consulted after
-            the journal; hits are recorded into the journal, fresh
-            results are stored back.
+        cache: optional content-addressed result cache; hits are
+            replayed instead of re-simulated, fresh results are stored
+            back.
         jobs: fan independent stack-pass families out over this many
             worker processes (``0`` = one per CPU; default serial).
-            Results, journal contents and their order are identical to
-            a serial sweep.
+            Results and cache contents are identical to a serial sweep.
 
     Returns:
         {(page_size, config.label): RunResult}
@@ -179,35 +153,18 @@ def sweep_single_size(
             miss_penalty_cycles=base_penalty,
         )
         results[(page_size, config.label)] = result
-        payload = result.to_payload()
-        if journal is not None:
-            journal.record_success(
-                _sweep_unit(trace, page_size, config.label, index_shift),
-                payload=payload,
-            )
         if cache is not None:
             cache.put(
                 _sweep_cache_key(
                     trace, page_size, config, index_shift, base_penalty, kernel
                 ),
-                payload,
+                result.to_payload(),
             )
 
     pending: List[Tuple[int, List[TLBConfig]]] = []
     for page_size in page_sizes:
         remaining: List[TLBConfig] = []
         for config in configs:
-            unit = _sweep_unit(trace, page_size, config.label, index_shift)
-            journal_record = journal.get(unit) if journal is not None else None
-            if (
-                journal_record is not None
-                and journal_record.succeeded
-                and journal_record.payload
-            ):
-                results[(page_size, config.label)] = RunResult.from_payload(
-                    journal_record.payload
-                )
-                continue
             if cache is not None:
                 payload = cache.get(
                     _sweep_cache_key(
@@ -223,8 +180,6 @@ def sweep_single_size(
                     results[(page_size, config.label)] = (
                         RunResult.from_payload(payload)
                     )
-                    if journal is not None:
-                        journal.record_success(unit, payload=payload)
                     continue
             remaining.append(config)
         if remaining:
@@ -248,8 +203,8 @@ def sweep_single_size(
     if resolve_jobs(jobs) > 1 and family_count > 1:
         # Every fault check runs up front (serial interleaves them with
         # the passes), then one unit per family; the page arrays reach
-        # the workers by fork.  Extraction — and therefore the journal
-        # record order — replays the serial order.
+        # the workers by fork.  Extraction — and therefore the cache
+        # store order — replays the serial order.
         planned = list(families())
         report = run_units(
             [

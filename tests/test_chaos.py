@@ -277,6 +277,33 @@ class TestDegradedSerial:
         assert sup["degraded"] is True
         assert sup["respawns"] <= 2
 
+    def test_interrupt_in_degraded_mode_is_journaled(self, tmp_path):
+        # Every worker dies, so u2 runs in the parent — where it raises
+        # KeyboardInterrupt.  As in a serial run, the interrupted unit
+        # is journaled before the interrupt propagates.
+        plan = faultinject.ChaosPlan(
+            tmp_path / "tokens",
+            victims={f"u{index}": ("kill", 10) for index in range(4)},
+        )
+
+        def interrupted():
+            raise KeyboardInterrupt()
+
+        units = _units(plan)
+        units[2] = UnitSpec("u2", plan.wrap("u2", interrupted))
+        path = tmp_path / "j.jsonl"
+        with pytest.raises(KeyboardInterrupt):
+            run_units(
+                units,
+                journal=RunJournal(path, fingerprint={"s": 1}),
+                jobs=2,
+                supervision=SupervisorConfig(max_respawns=2),
+            )
+        assert _journal_units(path) == ["u0", "u1", "u2"]
+        record = RunJournal(path, fingerprint={"s": 1}).get("u2")
+        assert not record.succeeded
+        assert record.error == "interrupted: KeyboardInterrupt()"
+
     def test_no_degraded_raises_instead(self, tmp_path):
         plan = faultinject.ChaosPlan(
             tmp_path / "tokens",

@@ -18,6 +18,7 @@ import pytest
 
 from repro.errors import ParallelError
 from repro.experiments.scale import map_workloads
+from repro.parallel.cache import SimulationCache
 from repro.parallel.engine import _plan_batch_size
 from repro.parallel.pool import (
     WorkerPool,
@@ -375,26 +376,26 @@ class TestSweepParallel:
 
     def test_jobs_two_matches_serial(self, tmp_path):
         trace = generate_trace("li", 6000, seed=3)
-        serial_journal = RunJournal(tmp_path / "s.jsonl", fingerprint={"s": 1})
-        parallel_journal = RunJournal(
-            tmp_path / "p.jsonl", fingerprint={"s": 1}
-        )
+        serial_cache = SimulationCache.open(tmp_path / "s")
+        parallel_cache = SimulationCache.open(tmp_path / "p")
         serial = sweep_single_size(
-            trace, (4096, 8192), self.CONFIGS, journal=serial_journal
+            trace, (4096, 8192), self.CONFIGS, cache=serial_cache
         )
         parallel = sweep_single_size(
-            trace,
-            (4096, 8192),
-            self.CONFIGS,
-            journal=parallel_journal,
-            jobs=2,
+            trace, (4096, 8192), self.CONFIGS, cache=parallel_cache, jobs=2
         )
         assert serial.keys() == parallel.keys()
         for key in serial:
             assert serial[key].to_payload() == parallel[key].to_payload()
-        assert _journal_units(tmp_path / "s.jsonl") == _journal_units(
-            tmp_path / "p.jsonl"
-        )
+        # The parent stores every result, whichever process computed it.
+        entries = {
+            root: sorted(
+                path.relative_to(tmp_path / root).as_posix()
+                for path in (tmp_path / root).rglob("*.json")
+            )
+            for root in ("s", "p")
+        }
+        assert entries["s"] == entries["p"] and len(entries["s"]) == 4
 
 
 @dataclass

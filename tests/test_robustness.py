@@ -22,10 +22,6 @@ from repro.robustness import faultinject
 from repro.robustness.executor import SuiteReport, UnitSpec, run_units
 from repro.robustness.journal import RunJournal
 from repro.robustness.retry import Deadline, RetryPolicy, call_with_retry
-from repro.sim.sweep import sweep_single_size
-from repro.sim.config import TLBConfig
-from repro.types import PAGE_4KB, PAGE_8KB
-from repro.workloads import generate_trace
 
 
 class TestRunJournal:
@@ -203,30 +199,42 @@ class TestRetry:
             Deadline(0)
 
 
+#: Serial and two forked workers: one executor, so one contract.  Each
+#: case below runs at least two units so ``jobs=2`` builds a pool.
+JOBS_MODES = (None, 2)
+
+
 class TestExecutor:
     @staticmethod
-    def _suite(units):
+    def _suite(units, jobs=None, **options):
         return run_units(
             units,
             retry_policy=RetryPolicy(max_attempts=2, base_delay=0.0),
             sleep=lambda _: None,
+            jobs=jobs,
+            **options,
         )
 
     def test_failure_is_isolated(self):
         def boom():
             raise RuntimeError("kaput")
 
-        report = self._suite(
-            [
-                UnitSpec("a", lambda: "ra"),
-                UnitSpec("b", boom),
-                UnitSpec("c", lambda: "rc"),
+        for jobs in JOBS_MODES:
+            report = self._suite(
+                [
+                    UnitSpec("a", lambda: "ra"),
+                    UnitSpec("b", boom),
+                    UnitSpec("c", lambda: "rc"),
+                ],
+                jobs,
+            )
+            assert [o.status for o in report.outcomes] == [
+                "ok", "failed", "ok"
             ]
-        )
-        assert [o.status for o in report.outcomes] == ["ok", "failed", "ok"]
-        assert report.exit_code == 1
-        assert "RuntimeError: kaput" in report.failures[0].error
-        assert "Traceback" in report.failures[0].traceback
+            assert [o.result for o in report.outcomes] == ["ra", None, "rc"]
+            assert report.exit_code == 1
+            assert "RuntimeError: kaput" in report.failures[0].error
+            assert "Traceback" in report.failures[0].traceback
 
     def test_fail_fast_stops_suite(self):
         ran = []
@@ -234,23 +242,47 @@ class TestExecutor:
         def boom():
             raise RuntimeError("kaput")
 
-        report = run_units(
-            [
-                UnitSpec("a", boom),
-                UnitSpec("b", lambda: ran.append("b")),
-            ],
-            retry_policy=RetryPolicy(max_attempts=1),
-            fail_fast=True,
-            sleep=lambda _: None,
-        )
-        assert len(report.outcomes) == 1
+        for jobs in JOBS_MODES:
+            report = run_units(
+                [
+                    UnitSpec("a", boom),
+                    UnitSpec("b", lambda: ran.append("b")),
+                ],
+                retry_policy=RetryPolicy(max_attempts=1),
+                fail_fast=True,
+                sleep=lambda _: None,
+                jobs=jobs,
+            )
+            assert [(o.name, o.status) for o in report.outcomes] == [
+                ("a", "failed")
+            ]
         assert ran == []
 
     def test_transient_fault_recovers_with_retry(self):
-        fn = faultinject.flaky(lambda: "ok", failures=1)
-        report = self._suite([UnitSpec("a", fn)])
-        assert report.ok
-        assert report.outcomes[0].attempts == 2
+        announced = {}
+        for jobs in JOBS_MODES:
+            notices = announced[jobs] = []
+            report = self._suite(
+                [
+                    UnitSpec("a", faultinject.flaky(lambda: "ok", failures=1)),
+                    UnitSpec("b", lambda: "ok"),
+                ],
+                jobs,
+                on_retry=lambda spec, attempt, error, delay, _n=notices: (
+                    _n.append(
+                        (spec.name, attempt, type(error).__name__,
+                         str(error), delay)
+                    )
+                ),
+            )
+            assert report.ok
+            assert [o.attempts for o in report.outcomes] == [2, 1]
+        # Worker retries are announced at flush with the same arguments
+        # the in-process run passes as they happen.
+        assert announced[2] == announced[None]
+        assert [notice[:3] for notice in announced[None]] == [
+            ("a", 1, "TransientInjectedFault")
+        ]
 
     def test_journal_resume_skips_completed(self, tmp_path):
         journal = RunJournal(tmp_path / "j.jsonl", fingerprint={})
@@ -293,46 +325,55 @@ class TestExecutor:
         assert second.ok and second.outcomes[0].status == "ok"
 
     def test_publish_failure_marks_unit_failed(self, tmp_path):
-        journal = RunJournal(tmp_path / "j.jsonl", fingerprint={})
-
         def bad_publish(spec, result, elapsed):
             raise OSError("disk full")
 
-        report = run_units(
-            [UnitSpec("a", lambda: "ok")],
-            journal=journal,
-            retry_policy=RetryPolicy(1),
-            on_success=bad_publish,
-            sleep=lambda _: None,
-        )
-        # The unit ran but its outputs were never written: it must be
-        # isolated as FAILED, not raised, and not journaled complete.
-        assert not report.ok
-        assert report.outcomes[0].status == "failed"
-        assert "disk full" in report.outcomes[0].error
-        assert not journal.completed("a")
-        # So a later --resume re-runs and re-publishes it.
-        published = []
-        resumed = run_units(
-            [UnitSpec("a", lambda: "ok")],
-            journal=RunJournal(tmp_path / "j.jsonl", fingerprint={}),
-            resume=True,
-            retry_policy=RetryPolicy(1),
-            on_success=lambda spec, result, elapsed: published.append(
-                spec.name
-            ),
-        )
-        assert resumed.ok and published == ["a"]
+        units = [UnitSpec("a", lambda: "ok"), UnitSpec("b", lambda: "ok")]
+        for jobs in JOBS_MODES:
+            path = tmp_path / f"j{jobs}.jsonl"
+            journal = RunJournal(path, fingerprint={})
+            report = run_units(
+                units,
+                journal=journal,
+                retry_policy=RetryPolicy(1),
+                on_success=bad_publish,
+                sleep=lambda _: None,
+                jobs=jobs,
+            )
+            # The units ran but their outputs were never written: they
+            # must be isolated as FAILED, not raised, and not journaled
+            # complete.
+            assert not report.ok
+            assert [o.status for o in report.outcomes] == ["failed", "failed"]
+            assert "disk full" in report.outcomes[0].error
+            assert not journal.completed("a")
+            # So a later --resume re-runs and re-publishes them.
+            published = []
+            resumed = run_units(
+                units,
+                journal=RunJournal(path, fingerprint={}),
+                resume=True,
+                retry_policy=RetryPolicy(1),
+                on_success=lambda spec, result, elapsed: published.append(
+                    spec.name
+                ),
+                jobs=jobs,
+            )
+            assert resumed.ok and published == ["a", "b"]
 
     def test_journal_payload_stored_on_success(self, tmp_path):
-        run_units(
-            [UnitSpec("a", lambda: 41)],
-            journal=RunJournal(tmp_path / "j.jsonl", fingerprint={}),
-            retry_policy=RetryPolicy(1),
-            journal_payload=lambda spec, result: {"answer": result + 1},
-        )
-        reloaded = RunJournal(tmp_path / "j.jsonl", fingerprint={})
-        assert reloaded.get("a").payload == {"answer": 42}
+        for jobs in JOBS_MODES:
+            path = tmp_path / f"j{jobs}.jsonl"
+            run_units(
+                [UnitSpec("a", lambda: 41), UnitSpec("b", lambda: 1)],
+                journal=RunJournal(path, fingerprint={}),
+                retry_policy=RetryPolicy(1),
+                journal_payload=lambda spec, result: {"answer": result + 1},
+                jobs=jobs,
+            )
+            reloaded = RunJournal(path, fingerprint={})
+            assert reloaded.get("a").payload == {"answer": 42}
+            assert reloaded.get("b").payload == {"answer": 2}
 
     def test_interrupt_is_journaled_and_propagates(self, tmp_path):
         journal = RunJournal(tmp_path / "j.jsonl", fingerprint={})
@@ -375,30 +416,6 @@ class TestExecutor:
         with pytest.raises(ParallelError, match="duplicate unit name 'a'"):
             run_units(units)
         assert ran == []  # rejected before anything runs
-
-
-class TestSweepJournal:
-    def test_sweep_results_checkpoint_and_replay(self, tmp_path):
-        trace = generate_trace("li", 5_000)
-        configs = [TLBConfig(16), TLBConfig(16, 2)]
-        journal = RunJournal(tmp_path / "sweep.jsonl", fingerprint={})
-        first = sweep_single_size(
-            trace, [PAGE_4KB, PAGE_8KB], configs, journal=journal
-        )
-        # Re-sweeping with the journal must not touch the simulator at
-        # all: arm a fault plan that would detonate on any sweep pass.
-        reloaded = RunJournal(tmp_path / "sweep.jsonl", fingerprint={})
-        with faultinject.inject(
-            faultinject.FaultPlan(times=99, sites=["sim.sweep"])
-        ):
-            second = sweep_single_size(
-                trace, [PAGE_4KB, PAGE_8KB], configs, journal=reloaded
-            )
-        assert set(first) == set(second)
-        for key in first:
-            assert first[key].misses == second[key].misses
-            assert first[key].config == second[key].config
-            assert first[key].cpi_tlb == pytest.approx(second[key].cpi_tlb)
 
 
 class FakeResult:
