@@ -22,7 +22,7 @@ import os
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, TypeVar
 
-from repro.errors import ConfigurationError, ParallelError
+from repro.errors import ConfigurationError
 from repro.parallel.cache import SimulationCache
 from repro.trace.record import Trace
 from repro.workloads.registry import cached_trace, generate_trace
@@ -97,32 +97,21 @@ def map_workloads(
     Returns results in ``names`` order (default: the paper's workload
     order) regardless of which worker finished first, so experiments
     measuring per-workload values get identical output at any job
-    count.  Serially (``jobs`` resolving to 1, which it always does
-    inside a worker) this is a plain loop and ``fn``'s exceptions
-    propagate unchanged.  Otherwise each workload is one
-    :func:`~repro.robustness.executor.run_units` unit: ``fn`` may be a
-    closure — workers are forked after it is captured — but its return
-    value must pickle, and a failure raises
+    count.  Each workload is one pass of
+    :func:`~repro.robustness.executor.run_passes`: serially ``fn``'s
+    exceptions propagate unchanged; in parallel ``fn``'s return value
+    must pickle, and a failure raises
     :class:`~repro.errors.ParallelError` naming the first failing
     workload and its ``Type: message``.
     """
-    from repro.parallel.pool import resolve_jobs
-    from repro.robustness.executor import UnitSpec, run_units
-    from repro.robustness.retry import NO_RETRY
+    from repro.robustness.executor import run_passes
     from repro.workloads.registry import workload_names
 
-    names = list(workload_names() if names is None else names)
-    if resolve_jobs(jobs) <= 1:
-        return [fn(name) for name in names]
-    units = [
-        UnitSpec(name=f"workload/{index}/{name}", run=functools.partial(fn, name))
-        for index, name in enumerate(names)
-    ]
-    report = run_units(units, retry_policy=NO_RETRY, jobs=jobs)
-    for name, outcome in zip(names, report.outcomes):
-        if outcome.failed:
-            raise ParallelError(f"workload {name!r} failed: {outcome.error}")
-    return [outcome.result for outcome in report.outcomes]
+    names = workload_names() if names is None else names
+    return run_passes(
+        [(f"workload {name!r}", functools.partial(fn, name)) for name in names],
+        jobs=jobs,
+    )
 
 
 def default_scale() -> ExperimentScale:

@@ -10,7 +10,8 @@ able to change a result:
   — contents, not file name, so a regenerated trace misses cleanly);
 * the **configuration** (TLB shape, page size or pair, index shift,
   policy parameters);
-* the **kernel** requested (``scalar``/``vector``/``auto``);
+* the **kernel**, resolved (``scalar``/``vector``/``sampled``, never
+  ``auto``);
 * the **penalty model** (base penalty, two-size penalty factor);
 * a ``version`` counter bumped whenever simulation semantics change.
 
@@ -97,6 +98,16 @@ def canonical_key(parts: Mapping[str, Any]) -> str:
         dict(parts), sort_keys=True, separators=(",", ":"), allow_nan=False
     )
     return hashlib.sha256(encoded.encode("utf-8")).hexdigest()
+
+
+def result_key(kind: str, **parts: Any) -> str:
+    """The content address of one cached result of ``kind``.
+
+    Every result-cache key is built here: ``parts`` plus ``kind`` and
+    the current :data:`CACHE_KEY_VERSION`, hashed by
+    :func:`canonical_key`.
+    """
+    return canonical_key({"version": CACHE_KEY_VERSION, "kind": kind, **parts})
 
 
 def _payload_crc(payload: Any) -> int:
@@ -258,4 +269,5 @@ __all__ = [
     "canonical_key",
     "corrupt_discarded_total",
     "default_cache_root",
+    "result_key",
 ]

@@ -27,7 +27,12 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 from repro.errors import DeadlineExceededError, ParallelError
 from repro.parallel.supervisor import SupervisorConfig
 from repro.robustness.journal import RunJournal
-from repro.robustness.retry import Deadline, RetryPolicy, call_with_retry
+from repro.robustness.retry import (
+    NO_RETRY,
+    Deadline,
+    RetryPolicy,
+    call_with_retry,
+)
 
 STATUS_OK = "ok"
 STATUS_FAILED = "failed"
@@ -442,6 +447,40 @@ def run_units(
     return report
 
 
+def run_passes(
+    passes: Sequence[Tuple[str, Callable[[], Any]]],
+    *,
+    jobs: Optional[int] = None,
+) -> List[Any]:
+    """Run independent ``(label, fn)`` passes; return results in order.
+
+    Serially (``jobs`` resolving to 1, which it always does inside a
+    worker, or fewer than two passes) this is a plain loop and a pass's
+    exception propagates unchanged.  Otherwise each pass is one
+    :func:`run_units` unit without retries: ``fn`` may be a closure
+    (workers are forked after it is captured) but its result must
+    pickle, and once every pass has finished the first failed one
+    raises :class:`~repro.errors.ParallelError` as ``"<label> failed:
+    Type: message"``.
+    """
+    from repro.parallel.pool import resolve_jobs
+
+    if resolve_jobs(jobs) <= 1 or len(passes) < 2:
+        return [fn() for _label, fn in passes]
+    report = run_units(
+        [
+            UnitSpec(name=f"{index}/{label}", run=fn)
+            for index, (label, fn) in enumerate(passes)
+        ],
+        retry_policy=NO_RETRY,
+        jobs=jobs,
+    )
+    for (label, _fn), outcome in zip(passes, report.outcomes):
+        if outcome.failed:
+            raise ParallelError(f"{label} failed: {outcome.error}")
+    return [outcome.result for outcome in report.outcomes]
+
+
 __all__ = [
     "STATUS_FAILED",
     "STATUS_OK",
@@ -451,6 +490,7 @@ __all__ = [
     "UnitOutcome",
     "UnitSpec",
     "failed_stage",
+    "run_passes",
     "run_units",
     "validate_units",
 ]

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.errors import ConfigurationError
+from repro.policy.promotion import DynamicPromotionPolicy
 from repro.tlb.base import TLB
 from repro.tlb.fully_assoc import FullyAssociativeTLB
 from repro.tlb.indexing import IndexingScheme, ProbeStrategy
@@ -185,3 +186,12 @@ class TwoSizeScheme:
     @property
     def two_page_sizes(self) -> bool:
         return True
+
+    def fresh_policy(self) -> DynamicPromotionPolicy:
+        """A new Section 3.4 dynamic promotion policy for this regime."""
+        return DynamicPromotionPolicy(
+            self.pair,
+            self.window,
+            promote_fraction=self.promote_fraction,
+            demote_fraction=self.demote_fraction,
+        )

@@ -33,11 +33,7 @@ from typing import Any, Dict, List, Optional, Sequence, Union
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.parallel.cache import (
-    CACHE_KEY_VERSION,
-    SimulationCache,
-    canonical_key,
-)
+from repro.parallel.cache import SimulationCache, canonical_key, result_key
 from repro.robustness import faultinject
 from repro.mem.misshandler import (
     SINGLE_SIZE_PENALTY_CYCLES,
@@ -55,10 +51,7 @@ from repro.perf.kernels import (
 from repro.perf.sampled import SAMPLED_REPLACEMENTS, sampled_replacement_counts
 from repro.perf.twolevel import two_level_counts
 from repro.perf.twosize import split_two_size_counts, two_size_counts
-from repro.policy.promotion import (
-    DynamicPromotionPolicy,
-    PageSizeAssignmentPolicy,
-)
+from repro.policy.promotion import PageSizeAssignmentPolicy
 from repro.policy.vector import (
     PolicyDecisions,
     policy_decisions,
@@ -240,18 +233,15 @@ def run_single_size(
     )
     key: Optional[str] = None
     if cache is not None:
-        key_parts = {
-            "version": CACHE_KEY_VERSION,
-            "kind": "single",
-            "trace": trace.fingerprint,
-            "page_size": scheme.page_size,
-            "config": config.cache_parts(),
-            "base_penalty": base_penalty,
-            "kernel": choice.kernel,
-        }
-        if choice.kernel == KERNEL_SAMPLED:
-            key_parts["exact"] = exact
-        key = canonical_key(key_parts)
+        key = result_key(
+            "single",
+            trace=trace.fingerprint,
+            page_size=scheme.page_size,
+            config=config.cache_parts(),
+            base_penalty=base_penalty,
+            kernel=choice.kernel,
+            **({"exact": exact} if choice.kernel == KERNEL_SAMPLED else {}),
+        )
         payload = cache.get(key)
         if payload is not None:
             return RunResult.from_payload(payload)
@@ -409,17 +399,14 @@ def run_with_policy(
         token = policy.cache_token()
         if token is not None:
             keys = [
-                canonical_key(
-                    {
-                        "version": CACHE_KEY_VERSION,
-                        "kind": "policy",
-                        "trace": trace.fingerprint,
-                        "policy": token,
-                        "config": config.cache_parts(),
-                        "base_penalty": base_penalty,
-                        "penalty_factor": penalty_factor,
-                        "kernel": choice.kernel,
-                    }
+                result_key(
+                    "policy",
+                    trace=trace.fingerprint,
+                    policy=token,
+                    config=config.cache_parts(),
+                    base_penalty=base_penalty,
+                    penalty_factor=penalty_factor,
+                    kernel=choice.kernel,
                 )
                 for config in configs
             ]
@@ -574,12 +561,7 @@ def run_two_sizes(
     25%-higher miss penalty.
     """
     if policy is None:
-        policy = DynamicPromotionPolicy(
-            scheme.pair,
-            scheme.window,
-            promote_fraction=scheme.promote_fraction,
-            demote_fraction=scheme.demote_fraction,
-        )
+        policy = scheme.fresh_policy()
     return run_with_policy(
         trace,
         policy,
@@ -697,12 +679,7 @@ def run_split_two_sizes(
     """
     faultinject.check("sim.driver.run_split_two_sizes")
     if policy is None:
-        policy = DynamicPromotionPolicy(
-            scheme.pair,
-            scheme.window,
-            promote_fraction=scheme.promote_fraction,
-            demote_fraction=scheme.demote_fraction,
-        )
+        policy = scheme.fresh_policy()
     choice = _resolve_two_size_kernel(
         policy, (small_config, large_config), kernel
     )
@@ -710,18 +687,15 @@ def run_split_two_sizes(
     if cache is not None:
         token = policy.cache_token()
         if token is not None:
-            key = canonical_key(
-                {
-                    "version": CACHE_KEY_VERSION,
-                    "kind": "split",
-                    "trace": trace.fingerprint,
-                    "policy": token,
-                    "small_config": small_config.cache_parts(),
-                    "large_config": large_config.cache_parts(),
-                    "base_penalty": base_penalty,
-                    "penalty_factor": penalty_factor,
-                    "kernel": choice.kernel,
-                }
+            key = result_key(
+                "split",
+                trace=trace.fingerprint,
+                policy=token,
+                small_config=small_config.cache_parts(),
+                large_config=large_config.cache_parts(),
+                base_penalty=base_penalty,
+                penalty_factor=penalty_factor,
+                kernel=choice.kernel,
             )
             payload = cache.get(key)
             if payload is not None:
@@ -989,12 +963,7 @@ def sweep_two_level(
     faultinject.check("sim.driver.sweep_two_level")
     two_size = scheme.two_page_sizes
     if two_size and policy is None:
-        policy = DynamicPromotionPolicy(
-            scheme.pair,
-            scheme.window,
-            promote_fraction=scheme.promote_fraction,
-            demote_fraction=scheme.demote_fraction,
-        )
+        policy = scheme.fresh_policy()
     all_lru = all(
         c.level1.replacement == "lru" and c.level2.replacement == "lru"
         for c in configs
@@ -1026,21 +995,18 @@ def sweep_two_level(
         token = policy.cache_token() if two_size else None
         if not two_size or token is not None:
             keys = [
-                canonical_key(
-                    {
-                        "version": CACHE_KEY_VERSION,
-                        "kind": "twolevel",
-                        "trace": trace.fingerprint,
-                        "scheme": (
-                            {"policy": token}
-                            if two_size
-                            else {"page_size": scheme.page_size}
-                        ),
-                        "config": config.cache_parts(),
-                        "base_penalty": base_penalty,
-                        "penalty_factor": penalty_factor,
-                        "kernel": choice.kernel,
-                    }
+                result_key(
+                    "twolevel",
+                    trace=trace.fingerprint,
+                    scheme=(
+                        {"policy": token}
+                        if two_size
+                        else {"page_size": scheme.page_size}
+                    ),
+                    config=config.cache_parts(),
+                    base_penalty=base_penalty,
+                    penalty_factor=penalty_factor,
+                    kernel=choice.kernel,
                 )
                 for config in configs
             ]

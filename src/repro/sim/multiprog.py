@@ -5,36 +5,38 @@ scheduling, under either context-switch policy of
 :mod:`repro.tlb.context`.  This is the experiment the paper's traces
 could not support (Sections 3.1, 6); results are labelled beyond-paper.
 
-:func:`sweep_multiprogrammed` is the grid entry point: it builds each
-quantum's interleaving exactly once, then evaluates every requested
-geometry of a (quantum, policy) cell from one epoch-segmented
-stack-depth pass (:mod:`repro.perf.multiprog`), with per-cell failure
-isolation and optional worker fan-out via
-:func:`repro.robustness.executor.run_units` and per-configuration
-results threaded through the content-addressed result cache (kind
-``"multiprog"``).  :func:`run_multiprogrammed` is the single-cell
-special case.  The scalar :class:`~repro.tlb.context.MultiprogrammedTLB`
-walk remains the reference oracle behind ``kernel="scalar"``.
+Two models share one grid loop, :func:`_sweep_grid`: it probes the
+content-addressed result cache per (quantum, policy, configuration),
+builds each quantum's interleaving exactly once, evaluates every
+uncached geometry of a (quantum, policy) cell from one pass, fans the
+cells out via :func:`repro.robustness.executor.run_passes` and stores
+the results in serial order.  :func:`sweep_multiprogrammed` (kind
+``"multiprog"``) runs one page size on the epoch-segmented stack-depth
+kernel (:mod:`repro.perf.multiprog`);
+:func:`sweep_multiprogrammed_two_sizes` (kind ``"multiprog2"``) gives
+each program its own promotion policy and runs the composed kernel
+(:mod:`repro.perf.multiprog_twosize`).  A model supplies only its key
+parts, validation, per-mix inputs, cell counters and result type.
+:func:`run_multiprogrammed` and :func:`run_multiprogrammed_two_sizes`
+are the single-cell cases.  The scalar
+:class:`~repro.tlb.context.MultiprogrammedTLB` walks remain the
+reference oracles behind ``kernel="scalar"``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import ConfigurationError
 from repro.mem.misshandler import (
     SINGLE_SIZE_PENALTY_CYCLES,
     TWO_SIZE_PENALTY_FACTOR,
 )
 from repro.metrics.cpi import TLBPerformance
-from repro.parallel.cache import (
-    CACHE_KEY_VERSION,
-    SimulationCache,
-    canonical_key,
-)
+from repro.parallel.cache import SimulationCache, result_key
 from repro.perf.kernels import KERNEL_AUTO, KERNEL_VECTOR, choose_kernel
 from repro.perf.multiprog import (
     MultiprogCounts,
@@ -46,11 +48,9 @@ from repro.perf.multiprog_twosize import (
     fold_event_chunks,
     multiprog_two_size_counts,
 )
-from repro.policy.promotion import DynamicPromotionPolicy
 from repro.policy.vector import PolicyDecisions, policy_decisions
 from repro.robustness import faultinject
-from repro.robustness.executor import UnitSpec, run_units
-from repro.robustness.retry import NO_RETRY
+from repro.robustness.executor import run_passes
 from repro.sim.config import TLBConfig, TwoSizeScheme
 from repro.tlb.context import ContextSwitchPolicy, MultiprogrammedTLB
 from repro.trace.mix import interleave_with_contexts
@@ -61,8 +61,56 @@ from repro.types import log2_exact
 SweepKey = Tuple[str, int, str]
 
 
+class _MixResult:
+    """The CPI view and cache payload both multiprogrammed results share.
+
+    ``_INTEGERS`` names the integer fields; a model extends it with its
+    own counters.
+    """
+
+    _INTEGERS: Tuple[str, ...] = ("quantum", "references", "misses", "switches")
+
+    @property
+    def performance(self) -> TLBPerformance:
+        return TLBPerformance(
+            misses=self.misses,
+            references=self.references,
+            refs_per_instruction=self.refs_per_instruction,
+            miss_penalty_cycles=self.miss_penalty_cycles,
+        )
+
+    @property
+    def cpi_tlb(self) -> float:
+        return self.performance.cpi_tlb
+
+    def to_payload(self) -> Dict[str, Any]:
+        """JSON-serializable form, for the result cache."""
+        return {
+            "program_names": list(self.program_names),
+            "switch_policy": self.switch_policy.value,
+            "refs_per_instruction": float(self.refs_per_instruction),
+            "miss_penalty_cycles": float(self.miss_penalty_cycles),
+            "resolved_kernel": self.resolved_kernel,
+            "fallback_reason": self.fallback_reason,
+            **{name: int(getattr(self, name)) for name in self._INTEGERS},
+        }
+
+    @classmethod
+    def _decode(cls, payload: Dict[str, Any], **extra: Any):
+        return cls(
+            program_names=tuple(payload["program_names"]),
+            switch_policy=ContextSwitchPolicy(payload["switch_policy"]),
+            refs_per_instruction=float(payload["refs_per_instruction"]),
+            miss_penalty_cycles=float(payload["miss_penalty_cycles"]),
+            resolved_kernel=payload.get("resolved_kernel"),
+            fallback_reason=payload.get("fallback_reason"),
+            **{name: int(payload[name]) for name in cls._INTEGERS},
+            **extra,
+        )
+
+
 @dataclass(frozen=True)
-class MultiprogramResult:
+class MultiprogramResult(_MixResult):
     """Outcome of one multiprogrammed run.
 
     Attributes:
@@ -93,49 +141,10 @@ class MultiprogramResult:
         default=None, compare=False, repr=False
     )
 
-    @property
-    def performance(self) -> TLBPerformance:
-        return TLBPerformance(
-            misses=self.misses,
-            references=self.references,
-            refs_per_instruction=self.refs_per_instruction,
-            miss_penalty_cycles=self.miss_penalty_cycles,
-        )
-
-    @property
-    def cpi_tlb(self) -> float:
-        return self.performance.cpi_tlb
-
-    def to_payload(self) -> Dict[str, Any]:
-        """JSON-serializable form, for the result cache."""
-        return {
-            "program_names": list(self.program_names),
-            "switch_policy": self.switch_policy.value,
-            "quantum": int(self.quantum),
-            "references": int(self.references),
-            "misses": int(self.misses),
-            "switches": int(self.switches),
-            "refs_per_instruction": float(self.refs_per_instruction),
-            "miss_penalty_cycles": float(self.miss_penalty_cycles),
-            "resolved_kernel": self.resolved_kernel,
-            "fallback_reason": self.fallback_reason,
-        }
-
     @classmethod
     def from_payload(cls, payload: Dict[str, Any]) -> "MultiprogramResult":
         """Rebuild a result stored by :meth:`to_payload`."""
-        return cls(
-            program_names=tuple(payload["program_names"]),
-            switch_policy=ContextSwitchPolicy(payload["switch_policy"]),
-            quantum=int(payload["quantum"]),
-            references=int(payload["references"]),
-            misses=int(payload["misses"]),
-            switches=int(payload["switches"]),
-            refs_per_instruction=float(payload["refs_per_instruction"]),
-            miss_penalty_cycles=float(payload["miss_penalty_cycles"]),
-            resolved_kernel=payload.get("resolved_kernel"),
-            fallback_reason=payload.get("fallback_reason"),
-        )
+        return cls._decode(payload)
 
 
 def run_multiprogrammed(
@@ -187,34 +196,99 @@ def sweep_multiprogrammed(
 
     Each quantum's interleaving is built exactly once (vectorized
     round-robin mixer) and shared by both policies; each (quantum,
-    policy) cell is one executor unit that serves *every* geometry from
-    a single epoch-segmented kernel pass (or, under ``kernel="scalar"``,
-    one oracle walk driving all cell TLBs).  Cached cells are skipped
-    per configuration — entries share the ``"multiprog"`` cache kind
-    with :func:`run_multiprogrammed`.  ``jobs`` fans the cells out over
+    policy) cell serves *every* geometry from a single epoch-segmented
+    kernel pass (or, under ``kernel="scalar"``, one oracle walk driving
+    all cell TLBs).  Cached cells are skipped per configuration —
+    entries share the ``"multiprog"`` cache kind with
+    :func:`run_multiprogrammed`.  ``jobs`` fans the cells out over
     forked workers (the parent-built mixes are inherited through the
-    fork); a failed cell raises :class:`~repro.errors.SimulationError`
-    after the remaining cells have finished.
+    fork); see :func:`_sweep_grid` for the shared loop.
 
     Returns a dict keyed by ``(policy.value, quantum, config.label)``.
     """
     faultinject.check("sim.multiprog.sweep")
+
+    def pages(mixed: Trace, _contexts: np.ndarray) -> np.ndarray:
+        shift = np.uint32(log2_exact(page_size))
+        return np.asarray(mixed.addresses >> shift, dtype=np.int64)
+
+    return _sweep_grid(
+        "sweep_multiprogrammed",
+        traces,
+        configs,
+        quanta,
+        policies,
+        kind="multiprog",
+        key_parts={"page_size": page_size},
+        validate=validate_multiprog_config,
+        inputs=pages,
+        vector_counts=multiprog_counts,
+        scalar_counts=_scalar_counts,
+        cell_site="sim.multiprog.cell",
+        make_result=lambda common, _pages, _config, count: MultiprogramResult(
+            **common,
+            misses=count.misses,
+            switches=count.switches,
+            miss_penalty_cycles=base_penalty,
+        ),
+        decode=lambda payload, _config: MultiprogramResult.from_payload(payload),
+        base_penalty=base_penalty,
+        kernel=kernel,
+        cache=cache,
+        jobs=jobs,
+    )
+
+
+def _sweep_grid(
+    caller: str,
+    traces: Sequence[Trace],
+    configs: Sequence[TLBConfig],
+    quanta: Sequence[int],
+    policies: Sequence[ContextSwitchPolicy],
+    *,
+    kind: str,
+    key_parts: Dict[str, Any],
+    validate: Optional[Callable[[TLBConfig], None]],
+    inputs: Callable[[Trace, np.ndarray], Any],
+    vector_counts: Callable[..., Sequence[Any]],
+    scalar_counts: Callable[..., Sequence[Any]],
+    cell_site: str,
+    make_result: Callable[..., Any],
+    decode: Callable[[Dict[str, Any], TLBConfig], Any],
+    base_penalty: float,
+    kernel: str,
+    cache: Optional[SimulationCache],
+    jobs: Optional[int],
+) -> Dict[SweepKey, Any]:
+    """The quantum x policy x geometry loop both models share.
+
+    Probes the cache for every (quantum, policy, config); builds each
+    needed quantum's mix once, in the parent, so forked cell workers
+    inherit it; runs one pass per (quantum, policy) cell over that
+    cell's uncached configs; then stores and decodes the results in
+    serial order.  A failed cell raises as
+    :func:`~repro.robustness.executor.run_passes` describes.
+
+    The model supplies only what differs: its cache ``kind`` and extra
+    ``key_parts``, a config check ``validate`` (or None), the per-mix
+    ``inputs`` built from the interleaved trace and its context stream,
+    the vector and scalar cell counters (``(inputs, contexts, policy,
+    configs) -> counts``), its cell fault site, ``make_result``
+    (``(common fields, inputs, config, counts) -> result``) and
+    ``decode`` (``(payload, config) -> result``).
+    """
     if not traces:
         raise ConfigurationError("need at least one trace to mix")
-    if not configs:
-        raise ConfigurationError(
-            "sweep_multiprogrammed needs at least one TLBConfig"
-        )
-    if not quanta:
-        raise ConfigurationError(
-            "sweep_multiprogrammed needs at least one quantum"
-        )
-    if not policies:
-        raise ConfigurationError(
-            "sweep_multiprogrammed needs at least one switch policy"
-        )
-    for config in configs:
-        validate_multiprog_config(config)
+    for axis, values in (
+        ("TLBConfig", configs),
+        ("quantum", quanta),
+        ("switch policy", policies),
+    ):
+        if not values:
+            raise ConfigurationError(f"{caller} needs at least one {axis}")
+    if validate is not None:
+        for config in configs:
+            validate(config)
     choice = choose_kernel(
         kernel,
         vector_supported=all(
@@ -222,10 +296,9 @@ def sweep_multiprogrammed(
         ),
         reason="non-LRU replacement breaks the epoch-segmented stack identity",
     )
-    resolved = choice.kernel
+    counts = vector_counts if choice.kernel == KERNEL_VECTOR else scalar_counts
 
-    program_names = tuple(trace.name for trace in traces)
-    results: Dict[SweepKey, MultiprogramResult] = {}
+    results: Dict[SweepKey, Any] = {}
     # (quantum, policy) -> [(config, cache key or None), ...] still to run.
     pending: Dict[Tuple[int, ContextSwitchPolicy], List[Any]] = {}
     for quantum in quanta:
@@ -233,96 +306,72 @@ def sweep_multiprogrammed(
             for config in configs:
                 key: Optional[str] = None
                 if cache is not None:
-                    key = canonical_key(
-                        {
-                            "version": CACHE_KEY_VERSION,
-                            "kind": "multiprog",
-                            "traces": [t.fingerprint for t in traces],
-                            "quantum": quantum,
-                            "policy": policy.value,
-                            "page_size": page_size,
-                            "config": config.cache_parts(),
-                            "base_penalty": base_penalty,
-                            "kernel": resolved,
-                        }
+                    key = result_key(
+                        kind,
+                        traces=[t.fingerprint for t in traces],
+                        quantum=quantum,
+                        policy=policy.value,
+                        config=config.cache_parts(),
+                        base_penalty=base_penalty,
+                        kernel=choice.kernel,
+                        **key_parts,
                     )
                     payload = cache.get(key)
                     if payload is not None:
                         results[(policy.value, quantum, config.label)] = (
-                            MultiprogramResult.from_payload(payload)
+                            decode(payload, config)
                         )
                         continue
                 pending.setdefault((quantum, policy), []).append(
                     (config, key)
                 )
-    if not pending:
-        return results
 
-    # Build each needed interleaving exactly once, in the parent, so
-    # forked cell workers inherit the arrays instead of rebuilding them.
-    shift = np.uint32(log2_exact(page_size))
-    mixes: Dict[int, Tuple[np.ndarray, np.ndarray, Trace]] = {}
-    for quantum in {quantum for quantum, _ in pending}:
-        mixed, contexts = interleave_with_contexts(traces, quantum=quantum)
-        pages = np.asarray(mixed.addresses >> shift, dtype=np.int64)
-        mixes[quantum] = (pages, contexts, mixed)
+    # Each needed mix is built once, in the parent: forked cell workers
+    # inherit the arrays instead of rebuilding them.
+    mixes: Dict[int, Tuple[Trace, np.ndarray, Any]] = {}
+    for quantum, _policy in pending:
+        if quantum not in mixes:
+            mixed, contexts = interleave_with_contexts(traces, quantum=quantum)
+            mixes[quantum] = (mixed, contexts, inputs(mixed, contexts))
+    program_names = tuple(trace.name for trace in traces)
 
-    def make_cell(
-        quantum: int, policy: ContextSwitchPolicy, cell_configs: List[TLBConfig]
-    ):
+    def cell(quantum: int, policy: ContextSwitchPolicy, entries: List[Any]):
         def run_cell() -> List[Dict[str, Any]]:
-            faultinject.check("sim.multiprog.cell")
-            pages, contexts, mixed = mixes[quantum]
-            if resolved == KERNEL_VECTOR:
-                counts = multiprog_counts(
-                    pages, contexts, policy, cell_configs
-                )
-            else:
-                counts = _scalar_counts(pages, contexts, policy, cell_configs)
+            faultinject.check(cell_site)
+            mixed, contexts, data = mixes[quantum]
+            cell_configs = [config for config, _key in entries]
+            common = dict(
+                program_names=program_names,
+                switch_policy=policy,
+                quantum=quantum,
+                references=len(mixed),
+                refs_per_instruction=mixed.refs_per_instruction,
+                resolved_kernel=choice.kernel,
+                fallback_reason=choice.fallback_reason,
+            )
             return [
-                MultiprogramResult(
-                    program_names=program_names,
-                    switch_policy=policy,
-                    quantum=quantum,
-                    references=len(mixed),
-                    misses=count.misses,
-                    switches=count.switches,
-                    refs_per_instruction=mixed.refs_per_instruction,
-                    miss_penalty_cycles=base_penalty,
-                    resolved_kernel=resolved,
-                    fallback_reason=choice.fallback_reason,
-                ).to_payload()
-                for count in counts
+                make_result(common, data, config, count).to_payload()
+                for config, count in zip(
+                    cell_configs, counts(data, contexts, policy, cell_configs)
+                )
             ]
 
         return run_cell
 
-    units = []
-    cells = []
-    for (quantum, policy), cell_entries in pending.items():
-        cell_configs = [config for config, _ in cell_entries]
-        units.append(
-            UnitSpec(
-                name=f"multiprog/q{quantum}/{policy.value}",
-                run=make_cell(quantum, policy, cell_configs),
-            )
-        )
-        cells.append((policy, quantum, cell_entries))
-    report = run_units(units, retry_policy=NO_RETRY, jobs=jobs)
-    if report.failures:
-        failure = report.failures[0]
-        raise SimulationError(
-            f"multiprogrammed sweep cell {failure.name} failed: "
-            f"{failure.error}"
-        )
-    for outcome, (policy, quantum, cell_entries) in zip(
-        report.outcomes, cells
-    ):
-        for payload, (config, key) in zip(outcome.result, cell_entries):
-            if cache is not None and key is not None:
+    cells = list(pending.items())
+    outputs = run_passes(
+        [
+            (f"{kind} cell q{quantum}/{policy.value}", cell(quantum, policy, entries))
+            for (quantum, policy), entries in cells
+        ],
+        jobs=jobs,
+    )
+    for ((quantum, policy), entries), payloads in zip(cells, outputs):
+        for (config, key), payload in zip(entries, payloads):
+            if key is not None:
                 cache.put(key, payload)
-            results[(policy.value, quantum, config.label)] = (
-                MultiprogramResult.from_payload(payload)
+            results[(policy.value, quantum, config.label)] = decode(
+                payload, config
             )
     return results
 
@@ -355,7 +404,7 @@ def _scalar_counts(
 
 
 @dataclass(frozen=True)
-class TwoSizeMultiprogramResult:
+class TwoSizeMultiprogramResult(_MixResult):
     """Outcome of one multiprogrammed *two-page-size* run.
 
     Extends :class:`MultiprogramResult`'s counters with the two-size
@@ -386,72 +435,24 @@ class TwoSizeMultiprogramResult:
         default=None, compare=False, repr=False
     )
 
-    @property
-    def performance(self) -> TLBPerformance:
-        return TLBPerformance(
-            misses=self.misses,
-            references=self.references,
-            refs_per_instruction=self.refs_per_instruction,
-            miss_penalty_cycles=self.miss_penalty_cycles,
-        )
-
-    @property
-    def cpi_tlb(self) -> float:
-        return self.performance.cpi_tlb
+    _INTEGERS = _MixResult._INTEGERS + (
+        "large_misses",
+        "reprobes",
+        "invalidations",
+        "promotions",
+        "demotions",
+    )
 
     def to_payload(self) -> Dict[str, Any]:
         """JSON-serializable form, for the result cache."""
-        return {
-            "program_names": list(self.program_names),
-            "switch_policy": self.switch_policy.value,
-            "quantum": int(self.quantum),
-            "config": self.config.cache_parts(),
-            "references": int(self.references),
-            "misses": int(self.misses),
-            "large_misses": int(self.large_misses),
-            "reprobes": int(self.reprobes),
-            "invalidations": int(self.invalidations),
-            "promotions": int(self.promotions),
-            "demotions": int(self.demotions),
-            "switches": int(self.switches),
-            "refs_per_instruction": float(self.refs_per_instruction),
-            "miss_penalty_cycles": float(self.miss_penalty_cycles),
-            "resolved_kernel": self.resolved_kernel,
-            "fallback_reason": self.fallback_reason,
-        }
+        return {**super().to_payload(), "config": self.config.cache_parts()}
 
     @classmethod
     def from_payload(
         cls, payload: Dict[str, Any], config: TLBConfig
     ) -> "TwoSizeMultiprogramResult":
         """Rebuild a result stored by :meth:`to_payload`."""
-        return cls(
-            program_names=tuple(payload["program_names"]),
-            switch_policy=ContextSwitchPolicy(payload["switch_policy"]),
-            quantum=int(payload["quantum"]),
-            config=config,
-            references=int(payload["references"]),
-            misses=int(payload["misses"]),
-            large_misses=int(payload["large_misses"]),
-            reprobes=int(payload["reprobes"]),
-            invalidations=int(payload["invalidations"]),
-            promotions=int(payload["promotions"]),
-            demotions=int(payload["demotions"]),
-            switches=int(payload["switches"]),
-            refs_per_instruction=float(payload["refs_per_instruction"]),
-            miss_penalty_cycles=float(payload["miss_penalty_cycles"]),
-            resolved_kernel=payload.get("resolved_kernel"),
-            fallback_reason=payload.get("fallback_reason"),
-        )
-
-
-def _fresh_policy(scheme: TwoSizeScheme) -> DynamicPromotionPolicy:
-    return DynamicPromotionPolicy(
-        scheme.pair,
-        scheme.window,
-        promote_fraction=scheme.promote_fraction,
-        demote_fraction=scheme.demote_fraction,
-    )
+        return cls._decode(payload, config=config)
 
 
 def _composed_decisions(
@@ -478,7 +479,7 @@ def _composed_decisions(
         idx = np.flatnonzero(contexts == ctx)
         if idx.size == 0:
             continue
-        d = policy_decisions(_fresh_policy(scheme), blocks[idx])
+        d = policy_decisions(scheme.fresh_policy(), blocks[idx])
         large[idx] = d.large
         promoted[idx] = fold_event_chunks(ctx, d.promoted, blocks_shift)
         demoted[idx] = fold_event_chunks(ctx, d.demoted, blocks_shift)
@@ -549,158 +550,72 @@ def sweep_multiprogrammed_two_sizes(
     (:mod:`repro.perf.multiprog_twosize`); the scalar oracle walks
     :class:`~repro.tlb.context.MultiprogrammedTLB` wrappers with
     per-program policy objects and forwarded shootdowns.  Cell fan-out,
-    failure isolation and caching (kind ``"multiprog2"``) mirror
-    :func:`sweep_multiprogrammed`.
+    failure handling and caching (kind ``"multiprog2"``) are
+    :func:`sweep_multiprogrammed`'s: both run :func:`_sweep_grid`.
 
     Returns a dict keyed by ``(policy.value, quantum, config.label)``.
     """
     faultinject.check("sim.multiprog.sweep_two_sizes")
-    if not traces:
-        raise ConfigurationError("need at least one trace to mix")
-    if not configs:
-        raise ConfigurationError(
-            "sweep_multiprogrammed_two_sizes needs at least one TLBConfig"
-        )
-    if not quanta:
-        raise ConfigurationError(
-            "sweep_multiprogrammed_two_sizes needs at least one quantum"
-        )
-    if not policies:
-        raise ConfigurationError(
-            "sweep_multiprogrammed_two_sizes needs at least one switch policy"
-        )
-    choice = choose_kernel(
-        kernel,
-        vector_supported=all(
-            config.replacement == "lru" for config in configs
-        ),
-        reason="non-LRU replacement breaks the epoch-segmented stack identity",
-    )
-    scheme_token = _fresh_policy(scheme).cache_token()
-
-    program_names = tuple(trace.name for trace in traces)
-    penalty = base_penalty * penalty_factor
-    results: Dict[SweepKey, TwoSizeMultiprogramResult] = {}
-    pending: Dict[Tuple[int, ContextSwitchPolicy], List[Any]] = {}
-    for quantum in quanta:
-        for policy in policies:
-            for config in configs:
-                key: Optional[str] = None
-                if cache is not None:
-                    key = canonical_key(
-                        {
-                            "version": CACHE_KEY_VERSION,
-                            "kind": "multiprog2",
-                            "traces": [t.fingerprint for t in traces],
-                            "quantum": quantum,
-                            "policy": policy.value,
-                            "scheme": scheme_token,
-                            "config": config.cache_parts(),
-                            "base_penalty": base_penalty,
-                            "penalty_factor": penalty_factor,
-                            "kernel": choice.kernel,
-                        }
-                    )
-                    payload = cache.get(key)
-                    if payload is not None:
-                        results[(policy.value, quantum, config.label)] = (
-                            TwoSizeMultiprogramResult.from_payload(
-                                payload, config
-                            )
-                        )
-                        continue
-                pending.setdefault((quantum, policy), []).append(
-                    (config, key)
-                )
-    if not pending:
-        return results
-
-    # Build each quantum's interleaving and composed decision stream
-    # exactly once, in the parent, shared by both policies' cells.
     pair = scheme.pair
     blocks_shift = log2_exact(pair.blocks_per_chunk)
-    shift = np.uint32(pair.small_shift)
-    num_programs = len(traces)
-    mixes: Dict[int, Tuple[np.ndarray, np.ndarray, PolicyDecisions, Trace]] = {}
-    for quantum in {quantum for quantum, _ in pending}:
-        mixed, contexts = interleave_with_contexts(traces, quantum=quantum)
+    penalty = base_penalty * penalty_factor
+
+    def blocks_and_decisions(mixed: Trace, contexts: np.ndarray):
+        shift = np.uint32(pair.small_shift)
         blocks = np.asarray(mixed.addresses >> shift, dtype=np.int64)
-        decisions = _composed_decisions(
-            blocks, contexts, scheme, num_programs, blocks_shift
+        return blocks, _composed_decisions(
+            blocks, contexts, scheme, len(traces), blocks_shift
         )
-        mixes[quantum] = (blocks, contexts, decisions, mixed)
 
-    def make_cell(
-        quantum: int, policy: ContextSwitchPolicy, cell_configs: List[TLBConfig]
-    ):
-        def run_cell() -> List[Dict[str, Any]]:
-            faultinject.check("sim.multiprog.cell_two_sizes")
-            blocks, contexts, decisions, mixed = mixes[quantum]
-            if choice.kernel == KERNEL_VECTOR:
-                counts = multiprog_two_size_counts(
-                    blocks,
-                    contexts,
-                    blocks_shift,
-                    decisions,
-                    policy,
-                    cell_configs,
-                )
-            else:
-                counts = _scalar_two_size_counts(
-                    blocks, contexts, scheme, policy, cell_configs
-                )
-            return [
-                TwoSizeMultiprogramResult(
-                    program_names=program_names,
-                    switch_policy=policy,
-                    quantum=quantum,
-                    config=config,
-                    references=len(mixed),
-                    misses=count.misses,
-                    large_misses=count.large_misses,
-                    reprobes=count.reprobes,
-                    invalidations=count.invalidations,
-                    promotions=decisions.promotions,
-                    demotions=decisions.demotions,
-                    switches=count.switches,
-                    refs_per_instruction=mixed.refs_per_instruction,
-                    miss_penalty_cycles=penalty,
-                    resolved_kernel=choice.kernel,
-                    fallback_reason=choice.fallback_reason,
-                ).to_payload()
-                for config, count in zip(cell_configs, counts)
-            ]
-
-        return run_cell
-
-    units = []
-    cells = []
-    for (quantum, policy), cell_entries in pending.items():
-        cell_configs = [config for config, _ in cell_entries]
-        units.append(
-            UnitSpec(
-                name=f"multiprog2/q{quantum}/{policy.value}",
-                run=make_cell(quantum, policy, cell_configs),
-            )
+    def vector_counts(data, contexts, policy, cell_configs):
+        blocks, decisions = data
+        return multiprog_two_size_counts(
+            blocks, contexts, blocks_shift, decisions, policy, cell_configs
         )
-        cells.append((policy, quantum, cell_entries))
-    report = run_units(units, retry_policy=NO_RETRY, jobs=jobs)
-    if report.failures:
-        failure = report.failures[0]
-        raise SimulationError(
-            f"multiprogrammed two-size sweep cell {failure.name} failed: "
-            f"{failure.error}"
+
+    def scalar_counts(data, contexts, policy, cell_configs):
+        return _scalar_two_size_counts(
+            data[0], contexts, scheme, policy, cell_configs
         )
-    for outcome, (policy, quantum, cell_entries) in zip(
-        report.outcomes, cells
-    ):
-        for payload, (config, key) in zip(outcome.result, cell_entries):
-            if cache is not None and key is not None:
-                cache.put(key, payload)
-            results[(policy.value, quantum, config.label)] = (
-                TwoSizeMultiprogramResult.from_payload(payload, config)
-            )
-    return results
+
+    def make_result(common, data, config, count):
+        decisions = data[1]
+        return TwoSizeMultiprogramResult(
+            **common,
+            config=config,
+            misses=count.misses,
+            large_misses=count.large_misses,
+            reprobes=count.reprobes,
+            invalidations=count.invalidations,
+            promotions=decisions.promotions,
+            demotions=decisions.demotions,
+            switches=count.switches,
+            miss_penalty_cycles=penalty,
+        )
+
+    return _sweep_grid(
+        "sweep_multiprogrammed_two_sizes",
+        traces,
+        configs,
+        quanta,
+        policies,
+        kind="multiprog2",
+        key_parts={
+            "scheme": scheme.fresh_policy().cache_token(),
+            "penalty_factor": penalty_factor,
+        },
+        validate=None,
+        inputs=blocks_and_decisions,
+        vector_counts=vector_counts,
+        scalar_counts=scalar_counts,
+        cell_site="sim.multiprog.cell_two_sizes",
+        make_result=make_result,
+        decode=TwoSizeMultiprogramResult.from_payload,
+        base_penalty=base_penalty,
+        kernel=kernel,
+        cache=cache,
+        jobs=jobs,
+    )
 
 
 def _scalar_two_size_counts(
@@ -721,7 +636,7 @@ def _scalar_two_size_counts(
     blocks_shift = log2_exact(pair.blocks_per_chunk)
     blocks_per_chunk = pair.blocks_per_chunk
     num_programs = int(contexts.max()) + 1 if contexts.size else 0
-    policies = [_fresh_policy(scheme) for _ in range(num_programs)]
+    policies = [scheme.fresh_policy() for _ in range(num_programs)]
     tlbs = [MultiprogrammedTLB(config.build(), policy) for config in configs]
     current = -1
     for block, context in zip(blocks.tolist(), contexts.tolist()):

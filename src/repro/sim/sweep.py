@@ -14,7 +14,7 @@ A :class:`~repro.parallel.cache.SimulationCache` replays results
 across runs: one pass is expensive, its results are precious, and only
 stack passes with an uncached result run.  ``jobs`` fans independent
 stack-pass families out as one
-:func:`~repro.robustness.executor.run_units` unit each; the workers
+:func:`~repro.robustness.executor.run_passes` pass each; the workers
 inherit the page-number arrays by fork, and results are still recorded
 in serial order.
 """
@@ -26,18 +26,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import ConfigurationError
 from repro.mem.misshandler import SINGLE_SIZE_PENALTY_CYCLES
-from repro.parallel.cache import (
-    CACHE_KEY_VERSION,
-    SimulationCache,
-    canonical_key,
-)
-from repro.parallel.pool import resolve_jobs
-from repro.perf.kernels import KERNEL_AUTO
+from repro.parallel.cache import SimulationCache, result_key
+from repro.perf.kernels import KERNEL_AUTO, resolve_kernel
 from repro.robustness import faultinject
-from repro.robustness.executor import UnitSpec, run_units
-from repro.robustness.retry import NO_RETRY
+from repro.robustness.executor import run_passes
 from repro.sim.config import SingleSizeScheme, TLBConfig
 from repro.sim.driver import RunResult
 from repro.stacksim.lru_stack import (
@@ -47,29 +41,6 @@ from repro.stacksim.lru_stack import (
 )
 from repro.trace.record import Trace
 from repro.types import log2_exact
-
-
-def _sweep_cache_key(
-    trace: Trace,
-    page_size: int,
-    config: TLBConfig,
-    index_shift: int,
-    base_penalty: float,
-    kernel: str,
-) -> str:
-    """Content address for one (trace, page size, config) sweep result."""
-    return canonical_key(
-        {
-            "version": CACHE_KEY_VERSION,
-            "kind": "sweep",
-            "trace": trace.fingerprint,
-            "page_size": page_size,
-            "index_shift": index_shift,
-            "config": config.cache_parts(),
-            "base_penalty": base_penalty,
-            "kernel": kernel,
-        }
-    )
 
 
 def _group_by_sets(configs: Sequence[TLBConfig]) -> Dict[int, List[TLBConfig]]:
@@ -135,98 +106,72 @@ def sweep_single_size(
     """
     if not configs:
         raise ConfigurationError("sweep needs at least one TLBConfig")
-    results: Dict[Tuple[int, str], RunResult] = {}
+    # Resolved before the key is built, so "auto" and an explicit
+    # request share entries — they are the same computation.
+    kernel = resolve_kernel(kernel)
 
-    def record(page_size: int, config: TLBConfig, ways: int, curve: MissCurve):
-        result = RunResult(
-            trace_name=trace.name,
-            scheme_label=SingleSizeScheme(page_size).label,
-            config=config,
-            references=len(trace),
-            misses=curve.misses(ways),
-            large_misses=0,
-            reprobes=0,
-            invalidations=0,
-            promotions=0,
-            demotions=0,
-            refs_per_instruction=trace.refs_per_instruction,
-            miss_penalty_cycles=base_penalty,
+    def key(page_size: int, config: TLBConfig) -> str:
+        return result_key(
+            "sweep",
+            trace=trace.fingerprint,
+            page_size=page_size,
+            index_shift=index_shift,
+            config=config.cache_parts(),
+            base_penalty=base_penalty,
+            kernel=kernel,
         )
-        results[(page_size, config.label)] = result
-        if cache is not None:
-            cache.put(
-                _sweep_cache_key(
-                    trace, page_size, config, index_shift, base_penalty, kernel
-                ),
-                result.to_payload(),
-            )
 
-    pending: List[Tuple[int, List[TLBConfig]]] = []
+    results: Dict[Tuple[int, str], RunResult] = {}
+    # One stack pass per (page size, set count) family still to run.
+    # The page arrays reach forked workers by inheritance, and results
+    # — therefore the cache store order — follow the serial order.
+    families = []
     for page_size in page_sizes:
         remaining: List[TLBConfig] = []
         for config in configs:
-            if cache is not None:
-                payload = cache.get(
-                    _sweep_cache_key(
-                        trace,
-                        page_size,
-                        config,
-                        index_shift,
-                        base_penalty,
-                        kernel,
-                    )
+            payload = None if cache is None else cache.get(key(page_size, config))
+            if payload is None:
+                remaining.append(config)
+            else:
+                results[(page_size, config.label)] = RunResult.from_payload(
+                    payload
                 )
-                if payload is not None:
-                    results[(page_size, config.label)] = (
-                        RunResult.from_payload(payload)
-                    )
-                    continue
-            remaining.append(config)
-        if remaining:
-            pending.append((page_size, remaining))
-
-    def families():
-        """(page size, sets, depth, group, pages) per stack pass, lazily."""
-        for page_size, remaining in pending:
-            faultinject.check("sim.sweep")
-            pages = trace.addresses >> np.uint32(log2_exact(page_size))
-            for sets, group in _group_by_sets(remaining).items():
-                yield page_size, sets, _family_depth(sets, group), group, pages
-
-    def family_curve(family) -> MissCurve:
-        _page_size, sets, depth, _group, pages = family
-        return _family_curve(pages, index_shift, sets, depth, kernel)
-
-    family_count = sum(
-        len(_group_by_sets(remaining)) for _size, remaining in pending
-    )
-    if resolve_jobs(jobs) > 1 and family_count > 1:
-        # Every fault check runs up front (serial interleaves them with
-        # the passes), then one unit per family; the page arrays reach
-        # the workers by fork.  Extraction — and therefore the cache
-        # store order — replays the serial order.
-        planned = list(families())
-        report = run_units(
-            [
-                UnitSpec(
-                    name=f"sweep/{family[0]}/sets{family[1]}",
-                    run=functools.partial(family_curve, family),
-                )
-                for family in planned
-            ],
-            retry_policy=NO_RETRY,
-            jobs=jobs,
-        )
-        if report.failures:
-            failure = report.failures[0]
-            raise SimulationError(
-                f"sweep family {failure.name} failed: {failure.error}"
+        if not remaining:
+            continue
+        faultinject.check("sim.sweep")
+        pages = trace.addresses >> np.uint32(log2_exact(page_size))
+        for sets, group in _group_by_sets(remaining).items():
+            depth = _family_depth(sets, group)
+            stack_pass = functools.partial(
+                _family_curve, pages, index_shift, sets, depth, kernel
             )
-        passes = zip(planned, (o.result for o in report.outcomes))
-    else:
-        passes = ((family, family_curve(family)) for family in families())
-    for (page_size, sets, _depth, group, _pages), curve in passes:
+            families.append((page_size, sets, group, stack_pass))
+    curves = run_passes(
+        [
+            (f"sweep family {page_size}/sets{sets}", stack_pass)
+            for page_size, sets, _group, stack_pass in families
+        ],
+        jobs=jobs,
+    )
+    for (page_size, sets, group, _pass), curve in zip(families, curves):
         for config in group:
             ways = config.entries if sets == 1 else config.entries // sets
-            record(page_size, config, ways, curve)
+            result = RunResult(
+                trace_name=trace.name,
+                scheme_label=SingleSizeScheme(page_size).label,
+                config=config,
+                references=len(trace),
+                misses=curve.misses(ways),
+                large_misses=0,
+                reprobes=0,
+                invalidations=0,
+                promotions=0,
+                demotions=0,
+                refs_per_instruction=trace.refs_per_instruction,
+                miss_penalty_cycles=base_penalty,
+                resolved_kernel=kernel,
+            )
+            results[(page_size, config.label)] = result
+            if cache is not None:
+                cache.put(key(page_size, config), result.to_payload())
     return results

@@ -34,11 +34,7 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.errors import StudyError
 from repro.experiments.scale import ExperimentScale, default_scale
-from repro.parallel.cache import (
-    CACHE_KEY_VERSION,
-    SimulationCache,
-    canonical_key,
-)
+from repro.parallel.cache import SimulationCache, result_key
 from repro.parallel.supervisor import SupervisorConfig
 from repro.report.table import TextTable
 from repro.robustness.executor import UnitSpec, run_units
@@ -375,14 +371,11 @@ def compile_study(
             kind = kinds[point.get("kind", study.kind)]
             merged = {**study.fixed, **point}
             params = kind.resolve_params(merged, window=scale.window)
-            run_id = canonical_key(
-                {
-                    "version": CACHE_KEY_VERSION,
-                    "kind": "study",
-                    "unit_kind": kind.name,
-                    "trace": trace.fingerprint,
-                    "params": params,
-                }
+            run_id = result_key(
+                "study",
+                unit_kind=kind.name,
+                trace=trace.fingerprint,
+                params=params,
             )
             units.append(
                 StudyUnit(

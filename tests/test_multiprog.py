@@ -7,7 +7,15 @@ from repro.errors import ConfigurationError, TraceError
 from repro.parallel.cache import SimulationCache
 from repro.perf.kernels import KernelFallbackWarning
 from repro.perf.multiprog import count_switches, multiprog_counts
-from repro.sim import TLBConfig, run_multiprogrammed, sweep_multiprogrammed
+from repro.robustness import faultinject
+from repro.sim import (
+    TLBConfig,
+    TwoSizeScheme,
+    run_multiprogrammed,
+    run_multiprogrammed_two_sizes,
+    sweep_multiprogrammed,
+    sweep_multiprogrammed_two_sizes,
+)
 from repro.tlb import ContextSwitchPolicy, FullyAssociativeTLB, MultiprogrammedTLB
 from repro.tlb.indexing import IndexingScheme
 from repro.trace import Trace, interleave_with_contexts, round_robin_mix
@@ -348,6 +356,20 @@ class TestVectorEquivalence:
 
 
 class TestSweepMultiprogrammed:
+    """The grid contract, for the one-size model.
+
+    :class:`TestSweepMultiprogrammedTwoSizes` reruns every case against
+    the two-size model through the hooks below.
+    """
+
+    CELL_SITE = "sim.multiprog.cell"
+
+    def sweep(self, traces, configs, **kwargs):
+        return sweep_multiprogrammed(traces, configs, **kwargs)
+
+    def run(self, traces, config, **kwargs):
+        return run_multiprogrammed(traces, config, **kwargs)
+
     def make_traces(self):
         rng = np.random.default_rng(17)
         return [
@@ -361,11 +383,11 @@ class TestSweepMultiprogrammed:
     def test_grid_matches_individual_runs(self):
         traces = self.make_traces()
         configs = (TLBConfig(16), TLBConfig(32))
-        grid = sweep_multiprogrammed(traces, configs, **self.grid_kwargs())
+        grid = self.sweep(traces, configs, **self.grid_kwargs())
         assert len(grid) == 2 * 2 * 2
         for (policy_value, quantum, label), result in grid.items():
             config = next(c for c in configs if c.label == label)
-            solo = run_multiprogrammed(
+            solo = self.run(
                 traces,
                 config,
                 quantum=quantum,
@@ -377,10 +399,8 @@ class TestSweepMultiprogrammed:
     def test_parallel_grid_matches_serial(self):
         traces = self.make_traces()
         configs = (TLBConfig(16), TLBConfig(32))
-        serial = sweep_multiprogrammed(traces, configs, **self.grid_kwargs())
-        parallel = sweep_multiprogrammed(
-            traces, configs, jobs=2, **self.grid_kwargs()
-        )
+        serial = self.sweep(traces, configs, **self.grid_kwargs())
+        parallel = self.sweep(traces, configs, jobs=2, **self.grid_kwargs())
         assert {k: v.to_payload() for k, v in serial.items()} == {
             k: v.to_payload() for k, v in parallel.items()
         }
@@ -389,19 +409,15 @@ class TestSweepMultiprogrammed:
         traces = self.make_traces()
         configs = (TLBConfig(16),)
         cache = SimulationCache.open(tmp_path)
-        first = sweep_multiprogrammed(
-            traces, configs, cache=cache, **self.grid_kwargs()
-        )
+        first = self.sweep(traces, configs, cache=cache, **self.grid_kwargs())
         assert cache.stats.stores == len(first)
-        second = sweep_multiprogrammed(
-            traces, configs, cache=cache, **self.grid_kwargs()
-        )
+        second = self.sweep(traces, configs, cache=cache, **self.grid_kwargs())
         assert cache.stats.hits == len(first)
         assert {k: v.to_payload() for k, v in first.items()} == {
             k: v.to_payload() for k, v in second.items()
         }
         # A single run shares the grid's cache entries.
-        run_multiprogrammed(
+        self.run(
             traces,
             configs[0],
             quantum=150,
@@ -410,11 +426,40 @@ class TestSweepMultiprogrammed:
         )
         assert cache.stats.hits == len(first) + 1
 
+    def test_serial_cell_failure_propagates_unchanged(self):
+        with faultinject.inject(
+            faultinject.FaultPlan(times=1, sites=(self.CELL_SITE,))
+        ) as plan:
+            with pytest.raises(faultinject.TransientInjectedFault):
+                self.sweep(self.make_traces(), (TLBConfig(16),))
+        assert plan.triggered == 1
+
     def test_empty_grid_axes_rejected(self):
         traces = self.make_traces()
         with pytest.raises(ConfigurationError):
-            sweep_multiprogrammed(traces, ())
+            self.sweep(traces, ())
         with pytest.raises(ConfigurationError):
-            sweep_multiprogrammed(traces, (TLBConfig(16),), quanta=())
+            self.sweep(traces, (TLBConfig(16),), quanta=())
         with pytest.raises(ConfigurationError):
-            sweep_multiprogrammed(traces, (TLBConfig(16),), policies=())
+            self.sweep(traces, (TLBConfig(16),), policies=())
+
+
+class TestSweepMultiprogrammedTwoSizes(TestSweepMultiprogrammed):
+    """The same grid contract, for the two-size model.
+
+    A short promotion window makes every program promote chunks within
+    its 1200 references, so shootdowns are exercised too.
+    """
+
+    SCHEME = TwoSizeScheme(window=200)
+    CELL_SITE = "sim.multiprog.cell_two_sizes"
+
+    def sweep(self, traces, configs, **kwargs):
+        return sweep_multiprogrammed_two_sizes(
+            traces, configs, scheme=self.SCHEME, **kwargs
+        )
+
+    def run(self, traces, config, **kwargs):
+        return run_multiprogrammed_two_sizes(
+            traces, config, scheme=self.SCHEME, **kwargs
+        )

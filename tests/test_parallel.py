@@ -26,7 +26,12 @@ from repro.parallel.pool import (
     in_worker,
     resolve_jobs,
 )
-from repro.robustness.executor import UnitSpec, run_units, validate_units
+from repro.robustness.executor import (
+    UnitSpec,
+    run_passes,
+    run_units,
+    validate_units,
+)
 from repro.robustness.journal import RunJournal
 from repro.robustness.retry import RetryPolicy
 from repro.sim.config import TLBConfig
@@ -78,6 +83,34 @@ class TestPool:
         assert nested == [1, 1]
         inside = map_workloads(lambda _name: in_worker(), names, jobs=2)
         assert inside == [True, True]
+
+
+class TestRunPasses:
+    def test_results_in_pass_order(self):
+        passes = [(f"p{i}", lambda i=i: (i * i, os.getpid())) for i in range(5)]
+        results = run_passes(passes, jobs=2)
+        assert [value for value, _pid in results] == [0, 1, 4, 9, 16]
+        assert os.getpid() not in {pid for _value, pid in results}
+        assert run_passes(passes) == [(i * i, os.getpid()) for i in range(5)]
+
+    def test_names_first_failed_pass(self):
+        def boom(tag):
+            raise ValueError(f"bad {tag}")
+
+        passes = [
+            ("a", lambda: 1),
+            ("b", lambda: boom("b")),
+            ("c", lambda: boom("c")),
+        ]
+        with pytest.raises(ParallelError) as info:
+            run_passes(passes, jobs=2)
+        assert str(info.value) == "b failed: ValueError: bad b"
+        # Serially, and for a lone pass, the original exception
+        # propagates unchanged.
+        with pytest.raises(ValueError, match="bad b"):
+            run_passes(passes)
+        with pytest.raises(ValueError, match="bad c"):
+            run_passes(passes[2:], jobs=2)
 
 
 class TestMapWorkloads:

@@ -156,6 +156,26 @@ class TestSweepLayering:
         for key in cold:
             assert warm[key].to_payload() == cold[key].to_payload()
 
+    def test_explicit_kernel_replays_default_sweep(self, trace, cache):
+        cold = sweep_single_size(
+            trace, self.PAGE_SIZES, self.CONFIGS, cache=cache
+        )
+        assert {r.resolved_kernel for r in cold.values()} == {"vector"}
+        # "auto" resolves to the vector kernel before the key is built,
+        # so the explicit request is the same computation: it replays
+        # every entry and runs no stack pass.
+        with faultinject.inject(
+            faultinject.FaultPlan(times=1, sites=("sim.sweep",))
+        ):
+            explicit = sweep_single_size(
+                trace, self.PAGE_SIZES, self.CONFIGS, kernel="vector",
+                cache=cache,
+            )
+        assert cache.stats.hits == len(cold)
+        assert cache.stats.stores == len(cold)
+        for key in cold:
+            assert explicit[key].to_payload() == cold[key].to_payload()
+
     def test_cache_keyed_by_trace_fingerprint(self, trace, cache):
         sweep_single_size(trace, self.PAGE_SIZES, self.CONFIGS, cache=cache)
 
